@@ -24,7 +24,6 @@ from .certify import (
     hodge_index_check,
     khovanskii_teissier_sequence,
     nef2_membership,
-    quartic_nonneg,
     schur_logconcavity_report,
 )
 from .chernpoly import (
@@ -72,9 +71,5 @@ from .rings import (
     proj,
     schur_class,
 )
-
-# TwistPoly is a ChernPoly over the generator set extended by one twist
-# variable; it is the same runtime type.
-TwistPoly = ChernPoly
 
 __version__ = "0.1.0"

@@ -274,11 +274,6 @@ def nef2_membership(c: Nef2Coefficients) -> Nef2Verdict:
     )
 
 
-def quartic_nonneg(p: QPoly) -> bool:
-    """Exact global nonnegativity of a low-degree rational polynomial."""
-    return nonneg_on_reals(p)
-
-
 # -- discrete log-concavity ----------------------------------------------
 
 
@@ -533,6 +528,5 @@ __all__ = [
     "inertia",
     "khovanskii_teissier_sequence",
     "nef2_membership",
-    "quartic_nonneg",
     "schur_logconcavity_report",
 ]

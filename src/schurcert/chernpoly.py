@@ -265,21 +265,13 @@ class ChernPoly:
         for img in extra_images:
             if img.terms and img.grade != 1:
                 raise ValidationError("twist-variable images must have grade 1")
-        if len(extra_images) != self.nextra:
-            raise ValidationError("one image required per twist variable")
-
-        total = ChernPoly.zero(rank, nextra)
-        for (cs, extras), coeff in self.terms.items():
-            term = ChernPoly.const(rank, coeff, nextra)
+        for cs, _extras in self.terms:
             for k in cs:
                 if k not in c_images:
                     raise ValidationError(f"no image supplied for c_{k}")
-                term = term * c_images[k]
-            for slot, power in enumerate(extras):
-                for _ in range(power):
-                    term = term * extra_images[slot]
-            total = total + term
-        return total
+        if not self.terms:
+            return ChernPoly.zero(rank, nextra)
+        return evaluate(self, c_images, ChernPoly.one(rank, nextra), extra_images)
 
     # -- pretty printing ------------------------------------------------
 
@@ -381,6 +373,50 @@ def det_in_ring(matrix: Sequence[Sequence], one):
         return acc
 
     return minor(0, (1 << n) - 1)
+
+
+def elementary_symmetric(xs: Sequence, one, top: int | None = None) -> list:
+    """``[e_0, ..., e_top]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
+
+    Works in any commutative ring; ``one`` is ``e_0``, and ``top`` (default
+    ``len(xs)``, never above it) stops the recurrence early.  ``e_1`` starts
+    at the first element, so no product with ``one`` is formed.
+    """
+    top = len(xs) if top is None else min(top, len(xs))
+    es = [one]
+    for k, x in enumerate(xs, start=1):
+        if k <= top:
+            es.append(es[-1] * x if k > 1 else x)
+        for j in range(min(k - 1, top), 1, -1):
+            es[j] = es[j] + es[j - 1] * x
+        if k > 1 and top:
+            es[1] = es[1] + x
+    return es
+
+
+def evaluate(poly: "ChernPoly", images, one, twist_images: Sequence = ()):
+    """Value of ``poly`` with ``c_k -> images[k]`` in any commutative ring.
+
+    ``one`` is the ring unit, used only for a constant term; twist variable
+    ``s`` goes to ``twist_images[s]``.  The zero polynomial has no grade to
+    take a value in and is rejected.
+    """
+    if len(twist_images) != poly.nextra:
+        raise ValidationError("one image required per twist variable")
+    total = None
+    for (cs, extras), coeff in poly.terms.items():
+        factors = [images[k] for k in cs]
+        for slot, power in enumerate(extras):
+            factors += [twist_images[slot]] * power
+        term = factors[0] if factors else one
+        if coeff != 1:
+            term = term * coeff
+        for factor in factors[1:]:
+            term = term * factor
+        total = term if total is None else total + term
+    if total is None:
+        raise ValidationError("cannot infer the grade of the zero polynomial here")
+    return total
 
 
 # -- the Schur machinery ------------------------------------------------

@@ -2,7 +2,10 @@
 
 Subcommands: ``schur``, ``ring-eval``, ``hr-check``, ``nef2``, ``hi2``,
 ``logconcave``, ``hl-scan``, ``paper-repro``.  Exit codes: 0 success,
-1 repro-suite failure, 2 input validation error, 3 precondition violation.
+1 repro-suite failure, 2 malformed input (bad arguments, a bad scenario
+file or an invalid value), 3 a mathematical hypothesis that the verdict
+needs was checked exactly and failed.  Any other exception is an internal
+fault and propagates with its traceback.
 
 Output is fully computed before anything is printed, so validation errors
 never leave partial output behind.  ``ring-eval``, ``hr-check``, ``nef2``,
@@ -27,8 +30,8 @@ from .certify import (
     schur_logconcavity_report,
 )
 from .chernpoly import derived_schur, format_poly, schur
-from .errors import PreconditionError, ScenarioError, ValidationError
-from .forms import PQForm, hodge_riemann_verdict, schur_form, wedge
+from .errors import PreconditionError, ValidationError
+from .forms import HermitianOneOne, PQForm, hodge_riemann_verdict, schur_form, wedge
 from .partitions import Partition
 from .rings import chern, derived_schur_class, format_class, integrate, schur_class
 from .scenario import Scenario, parse
@@ -97,9 +100,7 @@ def _cmd_ring_eval(args) -> list[str]:
     return lines
 
 
-def _build_hr_form(sc: Scenario, task: dict) -> tuple[PQForm, "HermitianOneOne"]:
-    from .forms import HermitianOneOne  # local alias for typing only
-
+def _build_hr_form(sc: Scenario, task: dict) -> tuple[PQForm, HermitianOneOne]:
     if "dimension" not in task:
         raise ValidationError("[task hr-check] needs a dimension")
     d = task["dimension"]
@@ -268,12 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="key=value output for schur and paper-repro "
         "(the other subcommands always print key=value lines)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="master seed override for scenario-driven randomized tasks",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schur", help="print a Schur or derived Schur polynomial")
@@ -319,25 +314,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: --seed must fit in an unsigned 64-bit value", file=sys.stderr)
-        return 2
     try:
         if args.command == "paper-repro":
             lines, code = _cmd_paper_repro(args)
         else:
             lines = _COMMANDS[args.command](args)
             code = 0
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ZeroDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for line in lines:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation failures exit with 2,
-precondition (verified-hypothesis) failures with 3.
+The CLI maps these onto exit codes: validation failures (malformed input)
+exit with 2, precondition failures (a hypothesis checked exactly and found
+false) with 3.  Any other exception, such as a ``ZeroDivisionError``, is an
+internal fault: the CLI lets it propagate instead of giving it an exit code.
 """
 
 from __future__ import annotations

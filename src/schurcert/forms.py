@@ -18,14 +18,15 @@ Conventions, validated by tests before anything is built on them:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .chernpoly import ChernPoly, schur as schur_poly
+from .chernpoly import elementary_symmetric, evaluate, schur as schur_poly
 from .errors import PreconditionError, ValidationError
 from .gaussian import GaussianRational
-from .inertia import InertiaReport, inertia_triple
+from .inertia import InertiaReport, inertia, inertia_triple
 from .partitions import Partition
 
 Key = tuple[int, int]  # (I bitmask, J bitmask)
@@ -312,58 +313,22 @@ class HermitianOneOne:
     __hash__ = None
 
 
-def _hermitian_det(rows: list[list[GaussianRational]]) -> GaussianRational:
-    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = GaussianRational(1)
-    for col in range(n):
-        pr = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pr is None:
-            return GaussianRational(0)
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
-            det = -det
-        pivot = m[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            factor = m[r][col] / pivot
-            if not factor.is_zero():
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - factor * m[col][c]
-    return det
-
-
 def kahler_check(h: HermitianOneOne) -> bool:
-    """Positive definiteness, decided exactly by leading principal minors."""
+    """Positive definiteness of H = A + iB, decided exactly by inertia.
+
+    H is positive definite iff the real symmetric matrix [[A, -B], [B, A]],
+    whose spectrum is that of H with every eigenvalue doubled, is.
+    """
     n = h.dim
-    for k in range(1, n + 1):
-        minor = [[h.entries[i][j] for j in range(k)] for i in range(k)]
-        det = _hermitian_det(minor)
-        if det.im != 0:
-            raise ValidationError("internal: Hermitian minor with non-real determinant")
-        if det.re <= 0:
-            return False
-    return True
-
-
-def elementary_symmetric_forms(omegas: Sequence[PQForm]) -> list[PQForm]:
-    """e_0, ..., e_e of the given (1,1)-forms (even forms commute)."""
-    if not omegas:
-        raise ValidationError("need at least one form")
-    dim = omegas[0].dim
-    for w in omegas:
-        if w.dim != dim:
-            raise ValidationError("forms live on different dimensions")
-        if (w.p, w.q) != (1, 1):
-            raise ValidationError("elementary symmetric forms need (1,1)-forms")
-    es: list[PQForm] = [PQForm.one(dim)]
-    for k, w in enumerate(omegas, start=1):
-        es.append(PQForm.zero(dim, k, k))
-        for j in range(k, 1, -1):
-            es[j] = es[j] + wedge(es[j - 1], w)
-        es[1] = es[1] + w
-    return es
+    rows = [
+        [h.entries[i][j].re for j in range(n)] + [-h.entries[i][j].im for j in range(n)]
+        for i in range(n)
+    ]
+    rows += [
+        [h.entries[i][j].im for j in range(n)] + [h.entries[i][j].re for j in range(n)]
+        for i in range(n)
+    ]
+    return inertia_triple(rows) == (2 * n, 0, 0)
 
 
 def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
@@ -374,19 +339,17 @@ def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
     if not omegas:
         raise ValidationError("need at least one form")
     dim = omegas[0].dim
+    for w in omegas:
+        if w.dim != dim:
+            raise ValidationError("forms live on different dimensions")
+        if (w.p, w.q) != (1, 1):
+            raise ValidationError("Schur forms need (1,1)-forms")
     if lam.weight > dim:
         raise ValidationError(
             f"Schur form of weight {lam.weight} vanishes beyond dimension {dim}"
         )
-    poly = schur_poly(lam, e)
-    es = elementary_symmetric_forms(omegas)
-    total = PQForm.zero(dim, lam.weight, lam.weight)
-    for (cs, _extras), coeff in poly.terms.items():
-        term = PQForm.one(dim) * coeff
-        for k in cs:
-            term = wedge(term, es[k])
-        total = total + term
-    return total
+    one = PQForm.one(dim)
+    return evaluate(schur_poly(lam, e), elementary_symmetric(omegas, one), one)
 
 
 @lru_cache(maxsize=None)
@@ -454,16 +417,9 @@ def hodge_riemann_verdict(omega: PQForm, reference: HermitianOneOne) -> InertiaR
         raise ValidationError("reference form has the wrong dimension")
     ref = reference.to_form()
     positivity = integrate_top(wedge(wedge(omega, ref), ref))
-    p, z, m = inertia_triple(hr_gram(omega))
-    det_sign = 0 if z else (1 if m % 2 == 0 else -1)
-    hl = z == 0
-    hr = positivity > 0 and (p, z, m) == (1, 0, d * d - 1)
-    return InertiaReport(
-        n_plus=p,
-        n_zero=z,
-        n_minus=m,
-        det_sign=det_sign,
-        hl_flag=hl,
-        hr_flag=hr,
+    rep = inertia(hr_gram(omega))
+    return replace(
+        rep,
+        hr_flag=positivity > 0 and rep.triple == (1, 0, d * d - 1),
         positivity_scalar=positivity,
     )

@@ -37,8 +37,11 @@ class GaussianRational:
         m = _LITERAL.match(text)
         if not m:
             raise ValidationError(f"bad rational/Gaussian literal {text!r}")
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(2).replace(" ", "")) if m.group(2) else Fraction(0)
+        try:
+            re_part = Fraction(m.group(1))
+            im_part = Fraction(m.group(2).replace(" ", "")) if m.group(2) else Fraction(0)
+        except ZeroDivisionError:
+            raise ValidationError(f"zero denominator in literal {text!r}")
         return cls(re_part, im_part)
 
     @classmethod

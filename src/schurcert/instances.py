@@ -36,13 +36,6 @@ def random_partition(rng: random.Random, weight: int, max_part: int | None = Non
     return pool[rng.randrange(len(pool))]
 
 
-def random_proj_model(rng: random.Random, dimension: int) -> ProjProduct:
-    """A random product of projective spaces of total dimension ``dimension``."""
-    factors = list(rng.choice(list(partitions_of(dimension))).parts)
-    rng.shuffle(factors)
-    return ProjProduct(tuple(factors))
-
-
 def random_ample_class(rng: random.Random, model: RingModel, hi: int = 4) -> GradedClass:
     return model.degree_one([rng.randint(1, hi) for _ in model.gen_names])
 
@@ -177,17 +170,6 @@ def random_pd_hermitian(rng: random.Random, dim: int) -> HermitianOneOne:
         for i in range(dim)
     ]
     return HermitianOneOne(entries)
-
-
-def random_distinct_rationals(rng: random.Random, n: int) -> list[Fraction]:
-    seen: set[Fraction] = set()
-    out: list[Fraction] = []
-    while len(out) < n:
-        x = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
 
 
 def random_symmetric_matrix(rng: random.Random, n: int, hi: int = 4) -> list[list[Fraction]]:

@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .chernpoly import ChernPoly
+from .chernpoly import ChernPoly, elementary_symmetric, evaluate
 from .errors import ValidationError
 from .partitions import Partition
 
@@ -396,45 +396,21 @@ class SplitBundle:
 
 def chern(bundle: SplitBundle, p: int) -> GradedClass:
     """p-th elementary symmetric class of the shifted roots."""
-    e = bundle.rank
-    if p < 0 or p > e:
-        raise ValidationError(f"Chern degree {p} out of range 0..{e}")
-    model = bundle.model
-    if p == 0:
-        return model.one()
-    if p > model.dimension:
-        return model.zero(p)
-    shifted = bundle.shifted_roots()
-    total = model.zero(p)
-    for subset in itertools.combinations(range(e), p):
-        term = shifted[subset[0]]
-        for idx in subset[1:]:
-            term = multiply(term, shifted[idx])
-        total = total + term
-    return total
+    if p < 0 or p > bundle.rank:
+        raise ValidationError(f"Chern degree {p} out of range 0..{bundle.rank}")
+    return elementary_symmetric(bundle.shifted_roots(), bundle.model.one(), p)[p]
 
 
 def chern_classes(bundle: SplitBundle) -> list[GradedClass]:
     """All Chern classes c_0 .. c_rank of the bundle."""
-    return [chern(bundle, p) for p in range(bundle.rank + 1)]
+    return elementary_symmetric(bundle.shifted_roots(), bundle.model.one())
 
 
 def evaluate_chern_poly(
     poly: ChernPoly, cherns: Sequence[GradedClass], model: RingModel
 ) -> GradedClass:
     """Evaluate a twist-free Chern polynomial at ring-valued Chern classes."""
-    if poly.nextra != 0:
-        raise ValidationError("polynomial still carries twist variables")
-    grade = poly.grade
-    if grade is None:
-        raise ValidationError("cannot infer the grade of the zero polynomial here")
-    total = model.zero(grade)
-    for (cs, _extras), coeff in poly.terms.items():
-        term = model.one() * coeff
-        for k in cs:
-            term = multiply(term, cherns[k])
-        total = total + term
-    return total
+    return evaluate(poly, cherns, model.one())
 
 
 def schur_class(bundle: SplitBundle, lam: Partition) -> GradedClass:

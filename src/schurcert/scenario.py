@@ -1,6 +1,6 @@
 """Line-oriented scenario files: sections of ``key = value`` pairs.
 
-Grammar (documented in the README and covered by round-trip tests)::
+Grammar (exercised, with round trips, in ``tests/test_scenario.py``)::
 
     file     := line*
     line     := blank | comment | section | pair
@@ -23,11 +23,10 @@ from .errors import ScenarioError, ValidationError
 from .forms import HermitianOneOne
 from .gaussian import GaussianRational
 from .partitions import Partition
-from .rings import GradedClass, RingModel, SplitBundle, abelian_square, proj
+from .rings import RingModel, SplitBundle, abelian_square, proj
 
 # Section name -> (allowed keys, repeatable keys)
 _SECTION_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "scenario": (frozenset({"seed"}), frozenset()),
     "model": (frozenset({"model", "type", "exponents"}), frozenset()),
     "bundle": (frozenset({"root", "twist"}), frozenset({"root"})),
     "hermitian": (frozenset({"row"}), frozenset({"row"})),
@@ -45,7 +44,6 @@ _SECTION_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
 class Scenario:
     """Validated scenario contents."""
 
-    seed: int | None = None
     model_spec: tuple | None = None  # ("proj", (2, 3)) | ("abelian_square",)
     roots: tuple[tuple[Fraction, ...], ...] = ()
     twist: tuple[Fraction, ...] | None = None
@@ -70,10 +68,6 @@ class Scenario:
         roots = [model.degree_one(r) for r in self.roots]
         twist = model.degree_one(self.twist) if self.twist is not None else None
         return SplitBundle(model, roots, twist)
-
-    def degree_one(self, key_value, model: RingModel | None = None) -> GradedClass:
-        model = model or self.model()
-        return model.degree_one(key_value)
 
     def hermitian(self, name: str) -> HermitianOneOne:
         if name not in self.hermitians:
@@ -115,6 +109,7 @@ def parse(text: str) -> Scenario:
     section: str | None = None
     section_name: str | None = None
     raw: dict[tuple[str, str | None], list[tuple[str, str, int, int]]] = {}
+    headers: dict[tuple[str, str | None], tuple[int, int]] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].rstrip()
@@ -152,6 +147,7 @@ def parse(text: str) -> Scenario:
             if key in raw:
                 raise ScenarioError(f"duplicate section [{inner}]", lineno, col)
             raw[key] = []
+            headers[key] = (lineno, col)
             continue
         if "=" not in body:
             raise ScenarioError("expected 'key = value'", lineno, col)
@@ -169,22 +165,17 @@ def parse(text: str) -> Scenario:
             raise ScenarioError(f"duplicate key {key!r}", lineno, col)
         entries.append((key, value, lineno, col))
 
-    _assemble(sc, raw)
+    _assemble(sc, raw, headers)
     return sc
 
 
-def _assemble(sc: Scenario, raw) -> None:
+def _assemble(sc: Scenario, raw, headers) -> None:
+    """Build ``sc`` from the raw entries; ``headers`` maps each section to
+    the line and column of its header, which errors about a whole section
+    report."""
     for (section, name), entries in raw.items():
-        if section == "scenario":
-            for key, value, ln, col in entries:
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise ScenarioError(f"bad seed {value!r}", ln, col)
-                if not 0 <= seed < 2**64:
-                    raise ScenarioError("seed must fit in an unsigned 64-bit value", ln, col)
-                sc.seed = seed
-        elif section == "model":
+        header = headers[(section, name)]
+        if section == "model":
             kv = {k: (v, ln, col) for k, v, ln, col in entries}
             if "model" in kv:
                 # compact form: model = proj(2,3) | abelian_square
@@ -195,8 +186,7 @@ def _assemble(sc: Scenario, raw) -> None:
                 sc.model_spec = _parse_model_literal(*kv["model"])
                 continue
             if "type" not in kv:
-                ln = entries[0][2] if entries else 1
-                raise ScenarioError("[model] needs 'model' or 'type'", ln, 1)
+                raise ScenarioError("[model] needs 'model' or 'type'", *header)
             mtype, ln, col = kv["type"][0], kv["type"][1], kv["type"][2]
             if mtype == "proj":
                 if "exponents" not in kv:
@@ -227,7 +217,7 @@ def _assemble(sc: Scenario, raw) -> None:
                 else:
                     twist = _parse_rational_list(value, ln, col)
             if not roots:
-                raise ScenarioError("[bundle] needs at least one root", 1, 1)
+                raise ScenarioError("[bundle] needs at least one root", *header)
             widths = {len(r) for r in roots} | ({len(twist)} if twist else set())
             if len(widths) != 1:
                 raise ScenarioError("bundle vectors have inconsistent lengths", entries[0][2], 1)
@@ -240,7 +230,7 @@ def _assemble(sc: Scenario, raw) -> None:
                 if key == "row"
             ]
             if not rows:
-                raise ScenarioError(f"[hermitian {name}] has no rows", 1, 1)
+                raise ScenarioError(f"[hermitian {name}] has no rows", *header)
             if any(len(r) != len(rows) for r in rows):
                 raise ScenarioError(
                     f"[hermitian {name}] rows do not form a square matrix",
@@ -372,8 +362,6 @@ def _parse_combination(value: str, ln: int, col: int) -> tuple:
 def format_scenario(sc: Scenario) -> str:
     """Canonical text for a scenario; parse(format_scenario(s)) == s."""
     lines: list[str] = []
-    if sc.seed is not None:
-        lines += ["[scenario]", f"seed = {sc.seed}", ""]
     if sc.model_spec is not None:
         lines.append("[model]")
         if sc.model_spec[0] == "proj":

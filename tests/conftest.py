@@ -7,6 +7,7 @@ production code paths are checked against something they do not share.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from schurcert.chernpoly import det_in_ring
 from schurcert.gaussian import GaussianRational
 from schurcert.qpoly import QPoly
+from schurcert.rings import multiply
 
 
 def inertia_by_charpoly(matrix) -> tuple[int, int, int]:
@@ -66,6 +68,52 @@ def wedge_word_oracle(i1: int, j1: int, i2: int, j2: int, dim: int):
     i_mask = sum(1 << b for kind, b in word if kind == 0)
     j_mask = sum(1 << b for kind, b in word if kind == 1)
     return (-1) ** swaps, (i_mask, j_mask)
+
+
+def chern_by_subsets(bundle, p: int):
+    """c_p of a split bundle as the sum, over all p-subsets of the shifted
+    roots, of their products."""
+    model = bundle.model
+    if p == 0:
+        return model.one()
+    total = model.zero(p)
+    for subset in itertools.combinations(bundle.shifted_roots(), p):
+        term = subset[0]
+        for root in subset[1:]:
+            term = multiply(term, root)
+        total = total + term
+    return total
+
+
+def _gaussian_det(rows) -> GaussianRational:
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = GaussianRational(1)
+    for col in range(n):
+        pr = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pr is None:
+            return GaussianRational(0)
+        if pr != col:
+            m[col], m[pr] = m[pr], m[col]
+            det = -det
+        pivot = m[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            factor = m[r][col] / pivot
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    return det
+
+
+def positive_definite_by_minors(entries) -> bool:
+    """Sylvester's criterion: every leading principal minor of the Hermitian
+    matrix is positive, each by elimination over the Gaussian rationals."""
+    for k in range(1, len(entries) + 1):
+        det = _gaussian_det([list(row[:k]) for row in entries[:k]])
+        assert det.im == 0, "Hermitian minor with a non-real determinant"
+        if det.re <= 0:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from schurcert.certify import (
     hodge_index_check,
     khovanskii_teissier_sequence,
     nef2_membership,
-    quartic_nonneg,
     schur_logconcavity_report,
 )
 from schurcert.errors import HypothesisError, PreconditionError, ValidationError
@@ -29,7 +28,7 @@ from schurcert.instances import (
     rng_for,
 )
 from schurcert.partitions import Partition
-from schurcert.qpoly import QPoly
+from schurcert.qpoly import QPoly, nonneg_on_reals
 from schurcert.rings import (
     SplitBundle,
     chern,
@@ -129,9 +128,9 @@ class TestBlockForm:
 class TestQuarticNonneg:
     def test_spec_examples(self):
         b = QPoly.x()
-        assert quartic_nonneg(b * b)
-        assert not quartic_nonneg(b * b - QPoly.of(1))
-        assert quartic_nonneg(b * b * 3)
+        assert nonneg_on_reals(b * b)
+        assert not nonneg_on_reals(b * b - QPoly.of(1))
+        assert nonneg_on_reals(b * b * 3)
 
     def test_boundary_substitution(self):
         # membership margin for the pure th1*th2 class: 4b^2 - b^2 = 3b^2.
@@ -139,7 +138,7 @@ class TestQuarticNonneg:
         from schurcert.certify import _quartic_margin
 
         assert _quartic_margin(c) == QPoly.of(0, 0, 3)
-        assert quartic_nonneg(_quartic_margin(c))
+        assert nonneg_on_reals(_quartic_margin(c))
 
 
 class TestNef2:

@@ -9,6 +9,8 @@ from schurcert.chernpoly import (
     chern_of_twist,
     derived_schur,
     det_in_ring,
+    elementary_symmetric,
+    evaluate,
     format_poly,
     jacobi_trudi,
     schur,
@@ -320,6 +322,23 @@ class TestAlgebra:
                     for j in range(k)
                 )
             assert got == cof(m)
+
+
+class TestRingHelpers:
+    def test_elementary_symmetric_of_integers(self):
+        assert elementary_symmetric([2, 3, 5], 1) == [1, 10, 31, 30]
+        assert elementary_symmetric([2, 3, 5], 1, top=2) == [1, 10, 31]
+        assert elementary_symmetric([2, 3], 1, top=5) == [1, 5, 6]
+        assert elementary_symmetric([2, 3, 5], 1, top=0) == [1]
+
+    def test_evaluate_at_integers(self):
+        es = elementary_symmetric([2, 3, 5], 1)
+        assert evaluate(schur(Partition([2, 1]), 3), es, 1) == 10 * 31 - 30
+        assert evaluate(ChernPoly.const(3, Fraction(1, 2)), es, 1) == Fraction(1, 2)
+        with pytest.raises(ValidationError):
+            evaluate(ChernPoly.zero(3), es, 1)
+        with pytest.raises(ValidationError):
+            evaluate(chern_of_twist(1, 3), es, 1)  # no image for the twist
 
 
 class TestFormatting:

@@ -4,6 +4,8 @@ import pytest
 
 import schurcert.rings as rings
 from schurcert.cli import main
+from schurcert.errors import ScenarioError
+from schurcert.scenario import parse
 
 REMARK_SCENARIO = """
 [hermitian omega1]
@@ -105,6 +107,16 @@ class TestHrCheck:
         path.write_text("[hermitian h]\nrows = 1\n")
         code, out, err = run(capsys, ["hr-check", str(path)])
         assert code == 2 and out == "" and "line 2" in err
+
+    def test_zero_denominator_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text(
+            "[hermitian h]\nrow = 1/0\n\n"
+            "[task hr-check]\ndimension = 1\nreference = h\ncombination = h\n"
+        )
+        code, out, err = run(capsys, ["hr-check", str(path)])
+        assert code == 2 and out == ""
+        assert "line 2, column 1" in err and "1/0" in err
 
     def test_schur_form_route(self, capsys, tmp_path):
         text = (
@@ -235,11 +247,13 @@ class TestPaperRepro:
         assert "FAIL boundary-class-gram" in out
         assert "FAIL quad-integral-table" in out
 
-    def test_seed_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, ["--seed", "7", "paper-repro", "--list"])
-        assert code == 0
-        code, _, err = run(capsys, ["--seed", "-3", "paper-repro", "--list"])
-        assert code == 2
+    def test_seed_flag_and_section_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "paper-repro", "--list"])
+        assert exc.value.code == 2
+        with pytest.raises(ScenarioError) as err:
+            parse("\n[scenario]\nseed = 7\n")
+        assert err.value.line == 2 and "[scenario]" in str(err.value)
 
 
 class TestSingleRendering:

@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import wedge_word_oracle
+from conftest import positive_definite_by_minors, wedge_word_oracle
 
+from schurcert.chernpoly import elementary_symmetric
 from schurcert.errors import PreconditionError, ValidationError
 from schurcert.forms import (
     HermitianOneOne,
     PQForm,
-    elementary_symmetric_forms,
     hodge_riemann_verdict,
     hr_gram,
     integrate_top,
@@ -200,6 +200,44 @@ class TestKahlerCheck:
         for d in (2, 3, 4):
             assert kahler_check(random_pd_hermitian(rng, d))
 
+    @pytest.mark.parametrize(
+        "diagonal, definite",
+        [((3, 1, 2, 5), True), ((1, -1, 2, 1), False), ((2, 0, 1, 3), False)],
+        ids=["definite", "indefinite", "singular"],
+    )
+    def test_matches_leading_minors(self, diagonal, definite):
+        # H = B* D B with B unit upper triangular and complex, so H is
+        # congruent to D: definite, indefinite or singular by construction.
+        rng = random.Random(2024)
+        for d in (2, 3, 4):
+            for _ in range(8):
+                b = [
+                    [
+                        GaussianRational(
+                            1 if i == j else rng.randint(-2, 2),
+                            rng.choice((-2, -1, 1, 2)) if i < j else 0,
+                        )
+                        if i <= j
+                        else GaussianRational(0)
+                        for j in range(d)
+                    ]
+                    for i in range(d)
+                ]
+                entries = [
+                    [
+                        sum(
+                            (b[k][i].conj() * b[k][j] * diagonal[k] for k in range(d)),
+                            GaussianRational(0),
+                        )
+                        for j in range(d)
+                    ]
+                    for i in range(d)
+                ]
+                h = HermitianOneOne(entries)
+                assert any(not x.is_real() for row in h.entries for x in row)
+                assert kahler_check(h) == positive_definite_by_minors(h.entries)
+                assert kahler_check(h) == definite
+
 
 class TestSchurForm:
     def test_single_box_is_sum(self):
@@ -230,7 +268,7 @@ class TestSchurForm:
         # With all forms equal, e_k = binom(e, k) w^k.
         d = 4
         w = HermitianOneOne.diagonal([1, 2, 1, 1]).to_form()
-        es = elementary_symmetric_forms([w, w, w])
+        es = elementary_symmetric([w, w, w], PQForm.one(d))
         assert es[1] == w * 3
         assert es[2] == wedge(w, w) * 3
         assert es[3] == wedge(wedge(w, w), w)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import chern_by_subsets
 
 from schurcert.errors import ValidationError
 from schurcert.inertia import inertia_triple, matrix_rank
@@ -141,6 +142,27 @@ class TestChern:
                     coeffs[p] = coeffs[p] + multiply(coeffs[p - 1], root)
             for p in range(e.rank + 1):
                 assert chern(e, p) == coeffs[p]
+
+    @pytest.mark.parametrize(
+        "model",
+        [proj(2, 2), proj(1, 3), proj(1, 1), abelian_square()],
+        ids=repr,
+    )
+    def test_recurrence_matches_subset_sum(self, model):
+        # Ranks run past the model's dimension, so some c_p lie above it.
+        rng = random.Random(41)
+        k = len(model.gen_names)
+        for rank in range(1, model.dimension + 3):
+            roots = [
+                model.degree_one([rng.randint(-3, 3) for _ in range(k)])
+                for _ in range(rank)
+            ]
+            twist = model.degree_one([rng.randint(-2, 2) for _ in range(k)])
+            for e in (SplitBundle(model, roots), SplitBundle(model, roots, twist)):
+                expected = [chern_by_subsets(e, p) for p in range(rank + 1)]
+                assert chern_classes(e) == expected
+                for p in range(rank + 1):
+                    assert chern(e, p) == expected[p]
 
     def test_chern_out_of_range(self):
         m = proj(2)

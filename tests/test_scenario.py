@@ -9,9 +9,6 @@ from schurcert.scenario import Scenario, format_scenario, parse
 
 FULL = """
 # a complete scenario
-[scenario]
-seed = 42
-
 [model]
 type = proj
 exponents = 2,3
@@ -51,7 +48,6 @@ derived = 3 / 1
 
 def test_parse_full_scenario():
     sc = parse(FULL)
-    assert sc.seed == 42
     assert sc.model_spec == ("proj", (2, 3))
     assert sc.roots == ((Fraction(1), Fraction(0)),) * 2 + ((Fraction(0), Fraction(1)),)
     assert sc.twist == (Fraction(0), Fraction(0))
@@ -78,7 +74,6 @@ def test_roundtrip_is_stable():
     assert sc2.roots == sc.roots
     assert sc2.hermitians == sc.hermitians
     assert sc2.tasks == sc.tasks
-    assert sc2.seed == sc.seed
 
 
 def test_materialization():
@@ -157,8 +152,8 @@ def test_combination_with_products_and_signs():
     )
 
 
-def test_seed_validation():
-    with pytest.raises(ScenarioError):
-        parse("[scenario]\nseed = -1\n")
-    with pytest.raises(ScenarioError):
-        parse("[scenario]\nseed = abc\n")
+@pytest.mark.parametrize("header", ["[bundle]", "[hermitian h]", "[model]"])
+def test_empty_section_reports_its_header_line(header):
+    with pytest.raises(ScenarioError) as exc:
+        parse(f"\n\n{header}\n")
+    assert (exc.value.line, exc.value.column) == (3, 1)
