@@ -32,7 +32,6 @@ from .chernpoly import (
     derived_schur,
     format_poly,
     schur,
-    schur_bialternant_oracle,
     segre_derived,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .partitions import Partition, partitions_of
 from .qpoly import QPoly
 from .rings import (
     GradedClass,
-    ProjProduct,
     RingModel,
     SplitBundle,
     abelian_square,

@@ -21,10 +21,9 @@ from .inertia import (
     restrict_to_kernel,
 )
 from .partitions import Partition
-from .qpoly import QPoly, isolate_real_root, nonneg_on_reals
+from .qpoly import QPoly, count_real_roots, isolate_real_root, nonneg_on_reals
 from .rings import (
     GradedClass,
-    ProjProduct,
     RingModel,
     SplitBundle,
     chern,
@@ -254,10 +253,7 @@ def nef2_membership(c: Nef2Coefficients) -> Nef2Verdict:
     if quartic_identically_zero:
         quartic_equality = True
     elif quartic_holds:
-        from .qpoly import count_real_roots, squarefree_part
-
-        sf = squarefree_part(margin)
-        quartic_equality = sf.degree() > 0 and count_real_roots(sf) > 0
+        quartic_equality = margin.degree() > 0 and count_real_roots(margin) > 0
     else:
         quartic_equality = False
     conditions = (
@@ -320,7 +316,7 @@ class LogConcavityReport:
 
 
 def _require_ample(bundle: SplitBundle, h: GradedClass) -> None:
-    if not isinstance(bundle.model, ProjProduct):
+    if bundle.model.name != "proj":
         raise PreconditionError("ampleness criterion needs a projective-product model")
     if not bundle.is_ample():
         raise PreconditionError("bundle fails the positivity (ampleness) criterion")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .partitions import Partition
@@ -133,14 +133,6 @@ class ChernPoly:
         key = (tuple(sorted(cs)), tuple(extras) if self.nextra else ())
         return self.terms.get(key, Fraction(0))
 
-    def constant_value(self) -> Fraction:
-        """The value of a grade-0 polynomial (0 for the zero polynomial)."""
-        if self.is_zero():
-            return Fraction(0)
-        if self.grade != 0:
-            raise ValidationError("polynomial is not a constant")
-        return next(iter(self.terms.values()))
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_compatible(self, other: "ChernPoly") -> None:
@@ -241,37 +233,6 @@ class ChernPoly:
                 new[slots[i]] = e
             out[(cs, tuple(new))] = coeff
         return ChernPoly(self.rank, out, nextra)
-
-    def substitute(
-        self,
-        c_images: Mapping[int, "ChernPoly"],
-        extra_images: Sequence["ChernPoly"] = (),
-    ) -> "ChernPoly":
-        """Evaluate at images of the generators and twist variables.
-
-        All images must live in one common algebra; image of ``c_k`` must be
-        homogeneous of grade k, images of twist variables of grade 1.
-        """
-        images = list(c_images.values()) + list(extra_images)
-        if not images:
-            raise ValidationError("substitution needs at least one image")
-        rank, nextra = images[0].rank, images[0].nextra
-        for img in images:
-            if img.rank != rank or img.nextra != nextra:
-                raise ValidationError("substitution images live in different algebras")
-        for k, img in c_images.items():
-            if img.terms and img.grade != k:
-                raise ValidationError(f"image of c_{k} must have grade {k}")
-        for img in extra_images:
-            if img.terms and img.grade != 1:
-                raise ValidationError("twist-variable images must have grade 1")
-        for cs, _extras in self.terms:
-            for k in cs:
-                if k not in c_images:
-                    raise ValidationError(f"no image supplied for c_{k}")
-        if not self.terms:
-            return ChernPoly.zero(rank, nextra)
-        return evaluate(self, c_images, ChernPoly.one(rank, nextra), extra_images)
 
     # -- pretty printing ------------------------------------------------
 
@@ -375,21 +336,18 @@ def det_in_ring(matrix: Sequence[Sequence], one):
     return minor(0, (1 << n) - 1)
 
 
-def elementary_symmetric(xs: Sequence, one, top: int | None = None) -> list:
-    """``[e_0, ..., e_top]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
+def elementary_symmetric(xs: Sequence, one) -> list:
+    """``[e_0, ..., e_n]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
 
-    Works in any commutative ring; ``one`` is ``e_0``, and ``top`` (default
-    ``len(xs)``, never above it) stops the recurrence early.  ``e_1`` starts
-    at the first element, so no product with ``one`` is formed.
+    Works in any commutative ring; ``one`` is ``e_0``.  ``e_1`` starts at the
+    first element, so no product with ``one`` is formed.
     """
-    top = len(xs) if top is None else min(top, len(xs))
     es = [one]
     for k, x in enumerate(xs, start=1):
-        if k <= top:
-            es.append(es[-1] * x if k > 1 else x)
-        for j in range(min(k - 1, top), 1, -1):
+        es.append(es[-1] * x if k > 1 else x)
+        for j in range(k - 1, 1, -1):
             es[j] = es[j] + es[j - 1] * x
-        if k > 1 and top:
+        if k > 1:
             es[1] = es[1] + x
     return es
 
@@ -509,71 +467,3 @@ def segre_derived(rank: int, order: int) -> ChernPoly:
     lam = Partition((1,) * (rank - order))
     coeff = Fraction(math.comb(2 * rank - 1, 2 * rank - 1 - order))
     return schur(lam, rank) * coeff
-
-
-def schur_bialternant_oracle(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
-    """Independent evaluation oracle: alternant quotient at rational points.
-
-    Evaluates the same class as :func:`schur` by the quotient of alternants
-    ``det(x_i^(m_j + e - j)) / det(x_i^(e - j))`` where ``m`` runs over the
-    conjugate partition padded to length e (the determinant over Chern
-    generators expands Schur-wise in the conjugate shape).  The points must
-    be pairwise distinct.
-    """
-    e = len(xs)
-    xs = [_as_fraction(x) for x in xs]
-    lam.require_rank(e)
-    for i in range(e):
-        for j in range(i + 1, e):
-            if xs[i] == xs[j]:
-                raise ZeroDivisionError(
-                    "alternant denominator vanishes: evaluation points must be "
-                    "pairwise distinct (perturb and retry)"
-                )
-    mu = lam.conjugate().padded(e)
-    num = [[xs[i] ** (mu[j] + e - 1 - j) for j in range(e)] for i in range(e)]
-    den = [[xs[i] ** (e - 1 - j) for j in range(e)] for i in range(e)]
-    return det_in_ring(num, Fraction(1)) / det_in_ring(den, Fraction(1))
-
-
-def ssyt_contents(lam: Partition, rank: int) -> Iterator[tuple[int, ...]]:
-    """Content vectors of the tableaux expanding the Schur class monomially.
-
-    Enumerates semistandard fillings (rows weakly, columns strictly
-    increasing) of the *conjugate* shape with entries in 1..rank, matching
-    the determinant convention of :func:`schur`; yields one exponent vector
-    per tableau.  Brute-force enumeration, intended as a test oracle.
-    """
-    lam.require_rank(rank)
-    shape = lam.conjugate().parts
-    if not shape:
-        yield (0,) * rank
-        return
-
-    rows: list[list[int]] = []
-
-    def fill_row(r: int, c: int, current: list[int]):
-        if c == shape[r]:
-            rows.append(current[:])
-            yield from fill_rows(r + 1)
-            rows.pop()
-            return
-        lo = current[c - 1] if c > 0 else 1
-        if r > 0 and c < len(rows[r - 1]):
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, rank + 1):
-            current.append(v)
-            yield from fill_row(r, c + 1, current)
-            current.pop()
-
-    def fill_rows(r: int):
-        if r == len(shape):
-            content = [0] * rank
-            for row in rows:
-                for v in row:
-                    content[v - 1] += 1
-            yield tuple(content)
-            return
-        yield from fill_row(r, 0, [])
-
-    yield from fill_rows(0)

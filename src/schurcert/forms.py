@@ -1,8 +1,8 @@
 """Exact (p,q)-form calculus on C^d and the Hodge-Riemann test on it.
 
-Forms are sparse maps from pairs of index subsets (stored as bitmasks, so
-dimensions up to 16 are representable; the intended desk scale is d <= 6)
-to Gaussian-rational coefficients:
+Forms are sparse maps from pairs of index subsets (stored as bitmasks) to
+Gaussian-rational coefficients, on C^d for d <= 8 (``MAX_DIM``; one
+hr-check at d=8 takes about 8 s):
 
     Omega = sum c_{I,J} dz_I wedge dzbar_J,   I, J increasing.
 
@@ -31,6 +31,13 @@ from .partitions import Partition
 
 Key = tuple[int, int]  # (I bitmask, J bitmask)
 
+# Largest accepted dimension.  Work grows 3x to 6x per dimension: the
+# hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 dense
+# with complex entries, took 0.55 s at d=6, 1.8 s at d=7 and 8.1 s at d=8 on
+# one core of a 2-vCPU Xeon host, so from d=9 on a verdict would take
+# minutes to hours and is refused up front.
+MAX_DIM = 8
+
 
 def _merge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint ascending subsets."""
@@ -49,8 +56,10 @@ class PQForm:
     __slots__ = ("dim", "p", "q", "coeffs")
 
     def __init__(self, dim: int, p: int, q: int, coeffs: dict[Key, GaussianRational]):
-        if dim < 1 or dim > 16:
-            raise ValidationError(f"dimension {dim} out of the supported range 1..16")
+        if dim < 1 or dim > MAX_DIM:
+            raise ValidationError(
+                f"dimension {dim} out of the supported range 1..{MAX_DIM}"
+            )
         if p < 0 or q < 0:
             raise ValidationError("negative bidegree")
         full = (1 << dim) - 1

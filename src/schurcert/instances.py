@@ -16,7 +16,7 @@ from .forms import HermitianOneOne
 from .gaussian import GaussianRational
 from .inertia import congruent, rational_det
 from .partitions import Partition, partitions_of
-from .rings import GradedClass, ProjProduct, RingModel, SplitBundle
+from .rings import GradedClass, RingModel, SplitBundle
 
 
 def rng_for(master_seed: int, index: int) -> random.Random:
@@ -41,7 +41,7 @@ def random_ample_class(rng: random.Random, model: RingModel, hi: int = 4) -> Gra
 
 
 def random_ample_bundle(
-    rng: random.Random, model: ProjProduct, rank: int, with_twist: bool = True
+    rng: random.Random, model: RingModel, rank: int, with_twist: bool = True
 ) -> SplitBundle:
     """Split bundle passing the all-positive-coefficients criterion.
 

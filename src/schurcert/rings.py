@@ -1,13 +1,22 @@
 """Finite-dimensional graded ring models with exact intersection numbers.
 
-Two model families:
+A model is data: generator names, the largest exponent each generator may
+carry (its cap), the top grade ``dimension`` and a table of top-grade
+monomial integrals.  The basis of a grade is every monomial of that grade
+within the caps, and a product monomial outside that basis vanishes.  Two
+models are built from data:
 
-* products of projective spaces — the quotient of a polynomial ring by
-  ``x_i^(n_i + 1)``, with the unique top monomial integrating to 1;
-* the abelian fourfold model — a structure-constant ring on three degree-1
+* ``proj(n_1, ..., n_k)`` — a product of projective spaces: the quotient of
+  a polynomial ring by ``x_i^(n_i + 1)``, with the unique top monomial
+  integrating to 1;
+* ``abelian_square()`` — the abelian fourfold model: three degree-1
   generators ``th1, th2, lam`` whose only nonzero quadruple integrals are
   hard-coded below.  No attempt is made to model an actual abelian surface;
   products are formal and everything follows from the three constants.
+
+A split bundle owns its Chern classes: the elementary-symmetric recurrence
+runs once, when the bundle is built, and its Chern, Schur and derived Schur
+classes are all evaluated at that one Chern vector.
 
 Classes are homogeneous by construction; mixed grades are unrepresentable
 and cross-grade addition is rejected.  All coefficients are exact
@@ -17,48 +26,69 @@ rationals.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .chernpoly import ChernPoly, elementary_symmetric, evaluate
+from .chernpoly import derived_schur as derived_poly, schur as schur_poly
 from .errors import ValidationError
 from .partitions import Partition
+
+Monomial = tuple[int, ...]
 
 # The structure constants of the abelian fourfold model: integrals of the
 # degree-4 monomials th1^a th2^b lam^c, keyed by (a, b, c).  Everything not
 # listed integrates to zero.  Kept as a module-level table so tests can
 # exercise corruption of a single entry.
-ABELIAN_QUAD_INTEGRALS: dict[tuple[int, int, int], Fraction] = {
+ABELIAN_QUAD_INTEGRALS: dict[Monomial, Fraction] = {
     (2, 2, 0): Fraction(4),
     (1, 1, 2): Fraction(-4),
     (0, 0, 4): Fraction(24),
 }
 
 
+@dataclass(frozen=True, repr=False)
 class RingModel:
-    """Shared interface of the graded ring models."""
+    """Graded ring given by its generators, their caps and top integrals.
 
-    dimension: int
+    Equality is structural (name, generators, caps, dimension) so that
+    classes can check "same model"; the per-grade caches are not compared.
+    """
+
+    name: str
     gen_names: tuple[str, ...]
+    caps: Monomial
+    dimension: int
+    top_integrals: Mapping[Monomial, Fraction] = field(compare=False)
+    _bases: dict = field(default_factory=dict, init=False, compare=False)
+    _indices: dict = field(default_factory=dict, init=False, compare=False)
 
-    def basis(self, grade: int) -> tuple[tuple[int, ...], ...]:
-        raise NotImplementedError
+    def __repr__(self):
+        if self.name == "proj":
+            return f"proj({','.join(str(n) for n in self.caps)})"
+        return self.name
 
-    def monomial_survives(self, expo: tuple[int, ...]) -> bool:
-        raise NotImplementedError
+    def basis(self, grade: int) -> tuple[Monomial, ...]:
+        """Monomials of the grade within the caps, in descending order."""
+        if grade < 0:
+            raise ValidationError(f"negative grade {grade}")
+        if grade > self.dimension:
+            return ()
+        if grade not in self._bases:
+            ranges = [range(min(n, grade) + 1) for n in self.caps]
+            monos = (e for e in itertools.product(*ranges) if sum(e) == grade)
+            self._bases[grade] = tuple(sorted(monos, reverse=True))
+        return self._bases[grade]
 
-    def integral_of_monomial(self, expo: tuple[int, ...]) -> Fraction:
-        raise NotImplementedError
+    def index(self, grade: int) -> dict[Monomial, int]:
+        """Position of each basis monomial of the grade."""
+        if grade not in self._indices:
+            self._indices[grade] = {m: i for i, m in enumerate(self.basis(grade))}
+        return self._indices[grade]
 
-    # Equality is structural so that classes can check "same model".
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, RingModel) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def integral_of_monomial(self, expo: Monomial) -> Fraction:
+        return self.top_integrals.get(expo, 0)
 
     # -- class constructors -------------------------------------------
 
@@ -82,88 +112,20 @@ class RingModel:
         return self.degree_one(coeffs)
 
 
-class ProjProduct(RingModel):
+def proj(*exponents: int) -> RingModel:
     """Cohomology-model ring of a product of projective spaces."""
-
-    def __init__(self, exponents: Sequence[int]):
-        exps = tuple(int(n) for n in exponents)
-        if not exps or any(n < 1 for n in exps):
-            raise ValidationError(f"factor dimensions must be positive: {exps}")
-        self.exponents = exps
-        self.dimension = sum(exps)
-        self.gen_names = tuple(f"x{i + 1}" for i in range(len(exps)))
-        self._basis_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def _key(self):
-        return ("proj", self.exponents)
-
-    def basis(self, grade: int) -> tuple[tuple[int, ...], ...]:
-        if grade < 0:
-            raise ValidationError(f"negative grade {grade}")
-        if grade not in self._basis_cache:
-            ranges = [range(min(n, grade) + 1) for n in self.exponents]
-            monos = [
-                expo
-                for expo in itertools.product(*ranges)
-                if sum(expo) == grade
-            ]
-            monos.sort(reverse=True)
-            self._basis_cache[grade] = tuple(monos)
-        return self._basis_cache[grade]
-
-    def monomial_survives(self, expo: tuple[int, ...]) -> bool:
-        return all(a <= n for a, n in zip(expo, self.exponents))
-
-    def integral_of_monomial(self, expo: tuple[int, ...]) -> Fraction:
-        # At top grade the only monomial within the caps is (n_1, ..., n_k).
-        return Fraction(1) if expo == self.exponents else Fraction(0)
-
-    def __repr__(self):
-        return f"proj({','.join(str(n) for n in self.exponents)})"
+    exps = tuple(int(n) for n in exponents)
+    if not exps or any(n < 1 for n in exps):
+        raise ValidationError(f"factor dimensions must be positive: {exps}")
+    names = tuple(f"x{i + 1}" for i in range(len(exps)))
+    return RingModel("proj", names, exps, sum(exps), {exps: Fraction(1)})
 
 
-class AbelianSquare(RingModel):
+def abelian_square() -> RingModel:
     """Structure-constant model of the abelian-surface self-product."""
-
-    def __init__(self):
-        self.dimension = 4
-        self.gen_names = ("th1", "th2", "lam")
-        self._basis_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def _key(self):
-        return ("abelian_square",)
-
-    def basis(self, grade: int) -> tuple[tuple[int, ...], ...]:
-        if grade < 0:
-            raise ValidationError(f"negative grade {grade}")
-        if grade > self.dimension:
-            return ()
-        if grade not in self._basis_cache:
-            monos = [
-                expo
-                for expo in itertools.product(range(grade + 1), repeat=3)
-                if sum(expo) == grade
-            ]
-            monos.sort(reverse=True)
-            self._basis_cache[grade] = tuple(monos)
-        return self._basis_cache[grade]
-
-    def monomial_survives(self, expo: tuple[int, ...]) -> bool:
-        return sum(expo) <= self.dimension
-
-    def integral_of_monomial(self, expo: tuple[int, ...]) -> Fraction:
-        return ABELIAN_QUAD_INTEGRALS.get(expo, Fraction(0))
-
-    def __repr__(self):
-        return "abelian_square"
-
-
-def proj(*exponents: int) -> ProjProduct:
-    return ProjProduct(exponents)
-
-
-def abelian_square() -> AbelianSquare:
-    return AbelianSquare()
+    return RingModel(
+        "abelian_square", ("th1", "th2", "lam"), (4, 4, 4), 4, ABELIAN_QUAD_INTEGRALS
+    )
 
 
 class GradedClass:
@@ -187,18 +149,17 @@ class GradedClass:
 
     @classmethod
     def from_monomials(
-        cls, model: RingModel, grade: int, entries: dict[tuple[int, ...], Fraction]
+        cls, model: RingModel, grade: int, entries: dict[Monomial, Fraction]
     ) -> "GradedClass":
-        basis = model.basis(grade)
-        index = {mono: i for i, mono in enumerate(basis)}
-        coeffs = [Fraction(0)] * len(basis)
+        index = model.index(grade)
+        coeffs = [Fraction(0)] * len(index)
         for mono, c in entries.items():
             if mono not in index:
                 raise ValidationError(f"monomial {mono} not in the grade-{grade} basis")
             coeffs[index[mono]] += Fraction(c)
         return cls(model, grade, coeffs)
 
-    def monomials(self) -> dict[tuple[int, ...], Fraction]:
+    def monomials(self) -> dict[Monomial, Fraction]:
         return {
             mono: c
             for mono, c in zip(self.model.basis(self.grade), self.coeffs)
@@ -301,17 +262,16 @@ def format_class(cls: GradedClass) -> str:
 
 
 def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
-    """Product in the quotient ring; grades add, above-top vanishes."""
+    """Product in the quotient ring; grades add, and a product monomial
+    survives iff it lies in the target grade's basis (none above the top)."""
     if a.model != b.model:
         raise ValidationError("classes live on different models")
     model = a.model
     grade = a.grade + b.grade
-    basis = model.basis(grade) if grade <= model.dimension else ()
-    if not basis:
-        # Identically zero above the top grade (empty basis).
-        return GradedClass(model, grade, ())
-    index = {mono: i for i, mono in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
+    index = model.index(grade)
+    out = [Fraction(0)] * len(index)
+    if not index:
+        return GradedClass(model, grade, out)
     basis_a = model.basis(a.grade)
     basis_b = model.basis(b.grade)
     for i, ca in enumerate(a.coeffs):
@@ -321,10 +281,9 @@ def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
         for j, cb in enumerate(b.coeffs):
             if cb == 0:
                 continue
-            mono = tuple(x + y for x, y in zip(ma, basis_b[j]))
-            if not model.monomial_survives(mono):
-                continue
-            out[index[mono]] += ca * cb
+            pos = index.get(tuple(x + y for x, y in zip(ma, basis_b[j])))
+            if pos is not None:
+                out[pos] += ca * cb
     return GradedClass(model, grade, out)
 
 
@@ -342,9 +301,14 @@ def integrate(a: GradedClass) -> Fraction:
 
 
 class SplitBundle:
-    """Direct sum of degree-1 classes ("roots"), with an optional twist."""
+    """Direct sum of degree-1 classes ("roots"), with an optional twist.
 
-    __slots__ = ("model", "roots", "twist")
+    The bundle owns its Chern classes: ``cherns[p]`` is c_p, the p-th
+    elementary symmetric class of the shifted roots, for p = 0..rank, all
+    computed once when the bundle is built.
+    """
+
+    __slots__ = ("model", "roots", "twist", "cherns")
 
     def __init__(
         self,
@@ -367,6 +331,8 @@ class SplitBundle:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "twist", twist)
+        cherns = elementary_symmetric(self.shifted_roots(), model.one())
+        object.__setattr__(self, "cherns", tuple(cherns))
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitBundle is immutable")
@@ -385,7 +351,7 @@ class SplitBundle:
     def is_ample(self) -> bool:
         """Sufficient criterion on projective-product models only:
         every shifted root has strictly positive basis coefficients."""
-        if not isinstance(self.model, ProjProduct):
+        if self.model.name != "proj":
             raise ValidationError(
                 "the ampleness criterion is defined on projective-product models"
             )
@@ -398,60 +364,29 @@ def chern(bundle: SplitBundle, p: int) -> GradedClass:
     """p-th elementary symmetric class of the shifted roots."""
     if p < 0 or p > bundle.rank:
         raise ValidationError(f"Chern degree {p} out of range 0..{bundle.rank}")
-    return elementary_symmetric(bundle.shifted_roots(), bundle.model.one(), p)[p]
+    return bundle.cherns[p]
 
 
-def chern_classes(bundle: SplitBundle) -> list[GradedClass]:
-    """All Chern classes c_0 .. c_rank of the bundle."""
-    return elementary_symmetric(bundle.shifted_roots(), bundle.model.one())
-
-
-def evaluate_chern_poly(
-    poly: ChernPoly, cherns: Sequence[GradedClass], model: RingModel
-) -> GradedClass:
-    """Evaluate a twist-free Chern polynomial at ring-valued Chern classes."""
-    return evaluate(poly, cherns, model.one())
+def evaluate_chern_poly(poly: ChernPoly, bundle: SplitBundle) -> GradedClass:
+    """Evaluate a twist-free Chern polynomial at the bundle's Chern classes."""
+    return evaluate(poly, bundle.cherns, bundle.model.one())
 
 
 def schur_class(bundle: SplitBundle, lam: Partition) -> GradedClass:
-    """Schur class of the bundle: the Chern-determinant evaluated in the ring."""
-    from .chernpoly import schur as schur_poly
+    """Schur class of the bundle: the Chern-determinant evaluated in the ring.
 
-    lam.require_rank(bundle.rank)
-    poly = schur_poly(lam, bundle.rank)
-    if poly.grade is None:
-        return bundle.model.one() * 0
-    return evaluate_chern_poly(poly, chern_classes(bundle), bundle.model)
+    ``schur_poly`` checks that no part exceeds the rank, so the determinant
+    is a nonzero polynomial of grade ``|lam|``.
+    """
+    return evaluate_chern_poly(schur_poly(lam, bundle.rank), bundle)
 
 
 def derived_schur_class(bundle: SplitBundle, mu: Partition, order: int) -> GradedClass:
     """Derived Schur class of the bundle, of grade ``|mu| - order``."""
-    from .chernpoly import derived_schur as derived_poly
-
     poly = derived_poly(mu, bundle.rank, order)
     if poly.is_zero():
         return bundle.model.zero(mu.weight - order)
-    return evaluate_chern_poly(poly, chern_classes(bundle), bundle.model)
-
-
-def schur_class_ssyt_oracle(bundle: SplitBundle, lam: Partition) -> GradedClass:
-    """Independent route to the Schur class by tableau enumeration.
-
-    Sums the monomial expansion over semistandard tableaux evaluated at the
-    shifted roots; compares against :func:`schur_class` in tests.
-    """
-    from .chernpoly import ssyt_contents
-
-    model = bundle.model
-    shifted = bundle.shifted_roots()
-    total = model.zero(lam.weight)
-    for content in ssyt_contents(lam, bundle.rank):
-        term = model.one()
-        for root, power in zip(shifted, content):
-            for _ in range(power):
-                term = multiply(term, root)
-        total = total + term
-    return total
+    return evaluate_chern_poly(poly, bundle)
 
 
 def gram_on_basis(

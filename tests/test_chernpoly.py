@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import schur_bialternant_oracle, ssyt_contents, substitute
 
 from schurcert.chernpoly import (
     ChernPoly,
@@ -14,9 +15,7 @@ from schurcert.chernpoly import (
     format_poly,
     jacobi_trudi,
     schur,
-    schur_bialternant_oracle,
     segre_derived,
-    ssyt_contents,
 )
 from schurcert.errors import ValidationError
 from schurcert.partitions import Partition, partitions_of
@@ -116,8 +115,8 @@ class TestChernOfTwist:
             dv = ChernPoly.twist_var(e, slot=0, nextra=2)
             ident = {k: ChernPoly.generator(e, k, nextra=2) for k in range(1, e + 1)}
             for p in range(0, e + 1):
-                lhs = chern_of_twist(p, e).substitute(c_imgs, extra_images=[u])
-                rhs = chern_of_twist(p, e).substitute(ident, extra_images=[dv + u])
+                lhs = substitute(chern_of_twist(p, e), c_imgs, extra_images=[u])
+                rhs = substitute(chern_of_twist(p, e), ident, extra_images=[dv + u])
                 assert lhs == rhs
 
 
@@ -161,7 +160,7 @@ class TestDerivedSchur:
                         if si.is_zero():
                             lhs = ChernPoly.zero(e, 1)
                         else:
-                            lhs = si.substitute(ctw, extra_images=[])
+                            lhs = substitute(si, ctw, extra_images=[])
                         rhs = ChernPoly.zero(e, 1)
                         for k in range(i, w + 1):
                             rhs = rhs + derived_schur(mu, e, k).promote(1) * math.comb(
@@ -327,9 +326,6 @@ class TestAlgebra:
 class TestRingHelpers:
     def test_elementary_symmetric_of_integers(self):
         assert elementary_symmetric([2, 3, 5], 1) == [1, 10, 31, 30]
-        assert elementary_symmetric([2, 3, 5], 1, top=2) == [1, 10, 31]
-        assert elementary_symmetric([2, 3], 1, top=5) == [1, 5, 6]
-        assert elementary_symmetric([2, 3, 5], 1, top=0) == [1]
 
     def test_evaluate_at_integers(self):
         es = elementary_symmetric([2, 3, 5], 1)

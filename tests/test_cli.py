@@ -132,6 +132,22 @@ class TestHrCheck:
         code, out, _ = run(capsys, ["--machine", "hr-check", str(path)])
         assert code == 0 and "hr=true" in out
 
+    def test_dimension_above_limit_exits_2(self, capsys, tmp_path):
+        # Forms above dimension 8 are refused before any wedge is formed.
+        d = 9
+        rows = "".join(
+            "row = " + ", ".join("1" if i == j else "0" for j in range(d)) + "\n"
+            for i in range(d)
+        )
+        path = tmp_path / "big.txt"
+        path.write_text(
+            f"[hermitian w]\n{rows}\n"
+            f"[task hr-check]\ndimension = {d}\nreference = w\ncombination = w^7\n"
+        )
+        code, out, err = run(capsys, ["hr-check", str(path)])
+        assert code == 2 and out == ""
+        assert "dimension 9 out of the supported range 1..8" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         path = self.write(tmp_path, "13/4")
         argv = ["--machine", "hr-check", path]
@@ -158,14 +174,15 @@ class TestNef2:
 
 
 class TestRingEval:
+    SCN = (
+        "[model]\ntype = proj\nexponents = 2,3\n\n"
+        "[bundle]\nroot = 1,0\nroot = 1,0\nroot = 0,1\n\n"
+        "[task ring-eval]\nschur = 1,1,1\nderived = 3 / 1\n"
+    )
+
     def test_chern_listing(self, capsys, tmp_path):
-        text = (
-            "[model]\ntype = proj\nexponents = 2,3\n\n"
-            "[bundle]\nroot = 1,0\nroot = 1,0\nroot = 0,1\n\n"
-            "[task ring-eval]\nschur = 1,1,1\nderived = 3 / 1\n"
-        )
         path = tmp_path / "ring.txt"
-        path.write_text(text)
+        path.write_text(self.SCN)
         code, out, _ = run(capsys, ["ring-eval", str(path)])
         assert code == 0
         assert "c1=2*x1 + x2" in out
@@ -281,3 +298,30 @@ class TestSingleRendering:
         assert code == machine_code == 0
         assert out and out == machine_out
         assert all("=" in line for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "command, scenario",
+    [
+        ("ring-eval", TestRingEval.SCN),
+        ("logconcave", TestLogconcaveAndHi2.SCN),
+        ("hi2", TestLogconcaveAndHi2.SCN),
+    ],
+    ids=["ring-eval", "logconcave", "hi2"],
+)
+def test_chern_recurrence_runs_once_per_verdict(
+    capsys, tmp_path, monkeypatch, command, scenario
+):
+    calls = []
+    recurrence = rings.elementary_symmetric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "elementary_symmetric", counted)
+    path = tmp_path / "scn.txt"
+    path.write_text(scenario)
+    code, _, _ = run(capsys, [command, str(path)])
+    assert code == 0
+    assert len(calls) == 1
