@@ -13,8 +13,6 @@ from typing import Sequence
 
 from .errors import HypothesisError, PreconditionError, ValidationError
 from .inertia import (
-    InertiaReport,
-    inertia,
     inertia_triple,
     quadratic_value,
     rational_det,
@@ -205,15 +203,6 @@ class Nef2Coefficients:
                 (0, 0, 2): self.a6,
             },
         )
-
-
-NEF2_CONDITION_NAMES = (
-    "nonneg_a1_a3",
-    "a2_ge_a6",
-    "disc_th1",
-    "disc_th2",
-    "quartic",
-)
 
 
 @dataclass(frozen=True)
@@ -438,8 +427,9 @@ def gram_pencil_scan(
 ) -> PencilScanResult:
     """Scan det(first + u(t) * second) for a positive root, isolated by Sturm.
 
-    ``reparam`` is the polynomial u(t); the returned interval has rational
-    endpoints and length below ``width``.
+    ``first`` and ``second`` are symmetric Grams; ``reparam`` is the
+    polynomial u(t); the returned interval has rational endpoints and length
+    below ``width``.
     """
     n = len(first)
     if len(second) != n or any(len(r) != n for r in first) or any(
@@ -502,14 +492,11 @@ def hl_failure_scan(width: Fraction = Fraction(1, 10**6)) -> PencilScanResult:
     return gram_pencil_scan(r, s, QPoly.of(0, 2, 3), width)
 
 
-# -- re-exported signature entry points -----------------------------------
-
 __all__ = [
     "BlockFormInstance",
     "BlockFormResult",
     "HI2Result",
     "HodgeIndexResult",
-    "InertiaReport",
     "LogConcavityReport",
     "Nef2Coefficients",
     "Nef2Verdict",
@@ -521,7 +508,6 @@ __all__ = [
     "hl_failure_instance",
     "hl_failure_scan",
     "hodge_index_check",
-    "inertia",
     "khovanskii_teissier_sequence",
     "nef2_membership",
     "schur_logconcavity_report",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .partitions import Partition
@@ -128,10 +128,6 @@ class ChernPoly:
         for (cs, extras) in self.terms:
             return sum(cs) + sum(extras)
         return None
-
-    def coefficient(self, cs: Sequence[int], extras: Sequence[int] = ()) -> Fraction:
-        key = (tuple(sorted(cs)), tuple(extras) if self.nextra else ())
-        return self.terms.get(key, Fraction(0))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -274,12 +270,21 @@ def format_poly(poly: ChernPoly) -> str:
     generator-index tuple; within a term the coefficient precedes the
     monomial (unit coefficients are omitted).
     """
-    if poly.is_zero():
-        return "0"
+    return format_terms(
+        (_format_monomial(key), poly.terms[key])
+        for key in sorted(poly.terms, key=_monomial_sort_key)
+    )
+
+
+def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Join ``(monomial, nonzero coefficient)`` pairs into a signed sum.
+
+    The first term carries its own sign, later terms are joined with
+    ``+ ``/``- ``, a unit coefficient is omitted (an empty monomial shows
+    the bare magnitude) and the empty sum renders as ``0``.
+    """
     pieces: list[str] = []
-    for key in sorted(poly.terms, key=_monomial_sort_key):
-        coeff = poly.terms[key]
-        mono = _format_monomial(key)
+    for mono, coeff in terms:
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -291,7 +296,7 @@ def format_poly(poly: ChernPoly) -> str:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
 
 
 # -- determinants over a commutative ring ------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import repro
 from .certify import (
@@ -34,7 +33,7 @@ from .errors import PreconditionError, ValidationError
 from .forms import HermitianOneOne, PQForm, hodge_riemann_verdict, schur_form, wedge
 from .partitions import Partition
 from .rings import chern, derived_schur_class, format_class, integrate, schur_class
-from .scenario import Scenario, parse
+from .scenario import Scenario, parse, parse_rational
 
 
 def _bool(value: bool) -> str:
@@ -53,15 +52,6 @@ def _require_task(sc: Scenario, name: str) -> dict:
     if name not in sc.tasks:
         raise ValidationError(f"scenario has no [task {name}] section")
     return sc.tasks[name]
-
-
-def _parse_fraction_arg(text: str) -> Fraction:
-    try:
-        if "." in text or "e" in text.lower():
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
 
 
 # -- subcommand implementations ------------------------------------------
@@ -157,7 +147,7 @@ def _cmd_hr_check(args) -> list[str]:
 
 
 def _cmd_nef2(args) -> list[str]:
-    coeffs = Nef2Coefficients.of(*(_parse_fraction_arg(a) for a in args.coefficients))
+    coeffs = Nef2Coefficients.of(*(parse_rational(a) for a in args.coefficients))
     verdict = nef2_membership(coeffs)
     boundary = verdict.member and any(eq for _, _, eq in verdict.conditions)
     lines = [
@@ -213,7 +203,7 @@ def _cmd_logconcave(args) -> list[str]:
 
 
 def _cmd_hl_scan(args) -> list[str]:
-    width = _parse_fraction_arg(args.width)
+    width = parse_rational(args.width)
     scan = hl_failure_scan(width)
     lo, hi = scan.interval
     sign = lambda v: "+" if v > 0 else ("-" if v < 0 else "0")  # noqa: E731

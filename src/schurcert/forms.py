@@ -260,7 +260,7 @@ def integrate_top(omega: PQForm) -> Fraction:
     c = omega.coeffs.get((full, full), GaussianRational(0))
     r = c / _volume_coefficient(omega.dim)
     if r.im != 0:
-        raise ValidationError("internal: real form integrated to a non-real value")
+        raise RuntimeError("internal: real form integrated to a non-real value")
     return r.re
 
 
@@ -406,7 +406,7 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
         for j in range(i, n):
             val = wedge_top_coefficient(mids[i], basis[j]) / vol
             if val.im != 0:
-                raise ValidationError("internal: non-real Gram entry")
+                raise RuntimeError("internal: non-real Gram entry")
             gram[i][j] = val.re
             gram[j][i] = val.re
     return gram

@@ -1,13 +1,14 @@
-"""Exact inertia of symmetric rational matrices by congruence reduction.
+"""Exact inertia, rank and determinant of symmetric rational matrices.
 
-Sylvester's law of inertia makes the triple (n+, n0, n-) invariant under
-congruence, so pivoting with exact Schur complements — including the split
-of an off-diagonal pivot into a hyperbolic (+1, -1) pair — computes it with
-no eigenvalue computation and no floating point.
+One congruence reduction, :func:`congruence_diagonal`, serves all three: by
+Sylvester's law of inertia the signs of its diagonal give (n+, n0, n-), the
+number of nonzero entries is the rank and their product is det M.  No
+eigenvalue computation and no floating point is involved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,16 +22,14 @@ Matrix = Sequence[Sequence[Fraction]]
 class InertiaReport:
     """Signature data of a symmetric pairing, plus optional verdict fields.
 
-    ``hl_flag`` is nondegeneracy (no zero eigenvalues).  ``hr_flag`` and
-    ``positivity_scalar`` are filled by callers that also check the defining
-    positivity integral; they stay ``None`` for a bare inertia computation.
+    ``hr_flag`` and ``positivity_scalar`` are filled by callers that also
+    check the defining positivity integral; they stay ``None`` for a bare
+    inertia computation.
     """
 
     n_plus: int
     n_zero: int
     n_minus: int
-    det_sign: int
-    hl_flag: bool
     hr_flag: bool | None = None
     positivity_scalar: Fraction | None = None
 
@@ -39,8 +38,13 @@ class InertiaReport:
         return (self.n_plus, self.n_zero, self.n_minus)
 
     @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_zero + self.n_minus
+    def det_sign(self) -> int:
+        return 0 if self.n_zero else (-1) ** self.n_minus
+
+    @property
+    def hl_flag(self) -> bool:
+        """Nondegeneracy (no zero eigenvalues)."""
+        return self.n_zero == 0
 
     def __str__(self) -> str:
         return f"({self.n_plus},{self.n_zero},{self.n_minus})"
@@ -61,19 +65,26 @@ def _to_rows(matrix: Matrix) -> list[list[Fraction]]:
     return rows
 
 
-def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
-    """(n+, n0, n-) of a symmetric matrix, by exact congruence reduction."""
+def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
+    """Diagonal of D = P^T M P for a symmetric M, with det P = +-1.
+
+    Appends ``d`` for each nonzero diagonal pivot, the pair ``(a, -a)`` for
+    each hyperbolic split of an off-diagonal pivot ``a`` and one ``0`` for
+    each row of the zero block that remains.  Every step is a congruence of
+    determinant +-1: a symmetric swap (choosing the pivot), a unit-triangular
+    Schur complement, and the basis change e_j + e_k/2, e_j - e_k/2, which
+    has determinant -1 and takes [[0, a], [a, 0]] to diag(a, -a).  So the
+    signs of the entries give the inertia, the number of nonzero entries the
+    rank, and their product det M.  Non-symmetric input is rejected.
+    """
     m = _to_rows(matrix)
     live = list(range(len(m)))
-    n_plus = n_minus = 0
+    diag: list[Fraction] = []
     while live:
         pivot = next((j for j in live if m[j][j] != 0), None)
         if pivot is not None:
             d = m[pivot][pivot]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
+            diag.append(d)
             live.remove(pivot)
             col = {r: m[r][pivot] for r in live}
             for r in live:
@@ -90,8 +101,7 @@ def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
             break  # remaining block is zero
         j, k = off
         a = m[j][k]
-        n_plus += 1
-        n_minus += 1
+        diag += [a, -a]
         live.remove(j)
         live.remove(k)
         colj = {r: m[r][j] for r in live}
@@ -99,16 +109,20 @@ def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
         for r in live:
             for s in live:
                 m[r][s] -= (colj[r] * colk[s] + colk[r] * colj[s]) / a
-    return n_plus, len(m) - n_plus - n_minus, n_minus
+    return diag + [Fraction(0)] * len(live)
+
+
+def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
+    """(n+, n0, n-) of a symmetric matrix: the signs of its congruence diagonal."""
+    diag = congruence_diagonal(matrix)
+    n_plus = sum(1 for x in diag if x > 0)
+    n_minus = sum(1 for x in diag if x < 0)
+    return n_plus, len(diag) - n_plus - n_minus, n_minus
 
 
 def inertia(matrix: Matrix) -> InertiaReport:
     """Full signature report; non-symmetric input is rejected."""
-    p, z, m = inertia_triple(matrix)
-    det_sign = 0 if z > 0 else (1 if m % 2 == 0 else -1)
-    return InertiaReport(
-        n_plus=p, n_zero=z, n_minus=m, det_sign=det_sign, hl_flag=(z == 0)
-    )
+    return InertiaReport(*inertia_triple(matrix))
 
 
 def quadratic_value(matrix: Matrix, v: Sequence[Fraction], w=None) -> Fraction:
@@ -170,47 +184,6 @@ def restrict_to_kernel(matrix: Matrix, phi: Sequence[Fraction]) -> list[list[Fra
 
 
 def rational_det(matrix: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValidationError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def matrix_rank(matrix: Matrix) -> int:
-    """Exact rank by row reduction (matrix need not be square)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    n_cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pr = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col] / pivot
-            if factor:
-                for c in range(col, n_cols):
-                    rows[r][c] -= factor * rows[pivot_row][c]
-        pivot_row += 1
-        rank += 1
-    return rank
+    """Exact determinant of a symmetric matrix: the product of its congruence
+    diagonal.  Non-symmetric input is rejected."""
+    return math.prod(congruence_diagonal(matrix), start=Fraction(1))

@@ -11,10 +11,11 @@ import random
 from fractions import Fraction
 
 from .certify import BlockFormInstance
+from .chernpoly import det_in_ring
 from .errors import ValidationError
 from .forms import HermitianOneOne
 from .gaussian import GaussianRational
-from .inertia import congruent, rational_det
+from .inertia import congruent
 from .partitions import Partition, partitions_of
 from .rings import GradedClass, RingModel, SplitBundle
 
@@ -53,16 +54,14 @@ def random_ample_bundle(
     roots = [
         model.degree_one([rng.randint(2, 5) for _ in range(k)]) for _ in range(rank)
     ]
-    twist = model.zero(1)
     if with_twist and rng.random() < 0.5:
         for _ in range(20):
             candidate = model.degree_one(
                 [Fraction(rng.randint(-1, 2)) for _ in range(k)]
             )
-            bundle = SplitBundle(model, roots, candidate)
-            if bundle.is_ample():
-                return bundle
-    return SplitBundle(model, roots, twist)
+            if all(c > 0 for root in roots for c in (root + candidate).coeffs):
+                return SplitBundle(model, roots, candidate)
+    return SplitBundle(model, roots)
 
 
 def random_block_instance(rng: random.Random, rho: int) -> BlockFormInstance:
@@ -185,5 +184,5 @@ def random_symmetric_matrix(rng: random.Random, n: int, hi: int = 4) -> list[lis
 def random_invertible_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if rational_det(m) != 0:
+        if det_in_ring(m, Fraction(1)) != 0:
             return m

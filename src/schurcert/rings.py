@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chernpoly import ChernPoly, elementary_symmetric, evaluate
+from .chernpoly import ChernPoly, elementary_symmetric, evaluate, format_terms
 from .chernpoly import derived_schur as derived_poly, schur as schur_poly
 from .errors import ValidationError
 from .partitions import Partition
@@ -236,29 +236,19 @@ class GradedClass:
 def format_class(cls: GradedClass) -> str:
     """Deterministic rendering in basis order, e.g. ``2*x1 + x2``."""
     names = cls.model.gen_names
-    pieces: list[str] = []
-    for mono, coeff in zip(cls.model.basis(cls.grade), cls.coeffs):
-        if coeff == 0:
-            continue
-        factors = []
-        for name, power in zip(names, mono):
-            if power == 1:
-                factors.append(name)
-            elif power > 1:
-                factors.append(f"{name}^{power}")
-        body = "*".join(factors)
-        mag = abs(coeff)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        if not pieces:
-            pieces.append(text if coeff > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(pieces) if pieces else "0"
+
+    def monomial(mono: tuple[int, ...]) -> str:
+        return "*".join(
+            name if power == 1 else f"{name}^{power}"
+            for name, power in zip(names, mono)
+            if power
+        )
+
+    return format_terms(
+        (monomial(mono), coeff)
+        for mono, coeff in zip(cls.model.basis(cls.grade), cls.coeffs)
+        if coeff != 0
+    )
 
 
 def multiply(a: GradedClass, b: GradedClass) -> GradedClass:

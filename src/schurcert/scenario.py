@@ -75,21 +75,25 @@ class Scenario:
         return HermitianOneOne(self.hermitians[name])
 
 
-def _parse_rational(tok: str, line: int, col: int) -> Fraction:
-    tok = tok.strip()
+def parse_rational(text: str) -> Fraction:
+    """``p/q`` or an integer as an exact rational; anything else, floats
+    included, raises ValidationError."""
     try:
-        if "." in tok or "e" in tok.lower():
+        if "." in text or "e" in text.lower():
             raise ValueError
-        return Fraction(tok)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"bad rational literal {tok!r} (floats are rejected)", line, col)
+        raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
 
 
 def _parse_rational_list(value: str, line: int, col: int) -> tuple[Fraction, ...]:
     items = [t for t in value.split(",")]
     if not items or all(not t.strip() for t in items):
         raise ScenarioError("empty coefficient list", line, col)
-    return tuple(_parse_rational(t, line, col) for t in items)
+    try:
+        return tuple(parse_rational(t.strip()) for t in items)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc), line, col)
 
 
 def _parse_gaussian_list(value: str, line: int, col: int) -> tuple[GaussianRational, ...]:

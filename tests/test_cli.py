@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import schurcert.forms as forms
 import schurcert.rings as rings
 from schurcert.cli import main
 from schurcert.errors import ScenarioError
+from schurcert.forms import PQForm
+from schurcert.gaussian import GaussianRational
 from schurcert.scenario import parse
 
 REMARK_SCENARIO = """
@@ -81,6 +84,15 @@ class TestHrCheck:
         )
         assert code == 0
         assert "hl=false" in out
+
+    def test_internal_fault_propagates(self, tmp_path, monkeypatch):
+        # A non-real volume unit makes every top integral non-real: an
+        # arithmetic fault of the program, not malformed input (exit 2).
+        monkeypatch.setattr(forms, "_volume_coefficient", lambda dim: GaussianRational(0, 1))
+        with pytest.raises(RuntimeError, match="internal: real form"):
+            main(["hr-check", self.write(tmp_path, "0")])
+        with pytest.raises(RuntimeError, match="internal: non-real Gram entry"):
+            forms.hr_gram(PQForm.one(2))
 
     def test_non_kahler_reference_exits_3(self, capsys, tmp_path):
         text = (

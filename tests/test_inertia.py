@@ -1,16 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import inertia_by_charpoly
 
+from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
 from schurcert.inertia import (
+    congruence_diagonal,
     congruent,
     inertia,
     inertia_triple,
     kernel_basis,
-    matrix_rank,
     quadratic_value,
     rational_det,
     restrict_to_kernel,
@@ -89,11 +91,18 @@ def test_kernel_basis_and_restriction():
         kernel_basis([Fraction(0), Fraction(0)])
 
 
+def _rank(m):
+    return sum(1 for x in congruence_diagonal(m) if x != 0)
+
+
 def test_rational_det_and_rank():
-    assert rational_det([[1, 2], [3, 4]]) == -2
+    with pytest.raises(ValidationError):
+        rational_det([[1, 2], [3, 4]])
     assert rational_det([[1, 2], [2, 4]]) == 0
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
+    assert rational_det([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert rational_det([[0, 3], [3, 0]]) == -9
+    assert _rank([[1, 2], [2, 4]]) == 1
+    assert _rank([[1, 0], [0, 1]]) == 2
     rng = random.Random(4)
     for _ in range(20):
         n = rng.randint(1, 5)
@@ -105,3 +114,36 @@ def test_rational_det_and_rank():
             assert det == 0
         else:
             assert (det > 0) == (mi % 2 == 0)
+
+
+def _sparse_symmetric(rng, n):
+    """About 40% zero entries; half the draws have an all-zero diagonal, so
+    the reduction must take hyperbolic pivots."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() >= 0.4:
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if rng.random() < 0.5:
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    return m
+
+
+def test_congruence_diagonal_gives_det_inertia_and_rank():
+    rng = random.Random(1905)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        m = _sparse_symmetric(rng, n)
+        diag = congruence_diagonal(m)
+        assert len(diag) == n
+        assert math.prod(diag, start=Fraction(1)) == det_in_ring(m, Fraction(1))
+        signs = (
+            sum(1 for x in diag if x > 0),
+            sum(1 for x in diag if x == 0),
+            sum(1 for x in diag if x < 0),
+        )
+        assert signs == inertia_by_charpoly(m)
+        p = random_invertible_matrix(rng, n)
+        det_p = det_in_ring(p, Fraction(1))
+        assert rational_det(congruent(m, p)) == det_p * det_p * rational_det(m)
