@@ -2,9 +2,14 @@
 
 Forms are sparse maps from pairs of index subsets (stored as bitmasks) to
 Gaussian-rational coefficients, on C^d for d <= 8 (``MAX_DIM``; one
-hr-check at d=8 takes about 8 s):
+hr-check at d=8 takes about 0.7 s):
 
     Omega = sum c_{I,J} dz_I wedge dzbar_J,   I, J increasing.
+
+A form keeps its coefficients as Gaussian-integer numerators over one
+denominator (see :class:`PQForm`), so wedge products, sums, top integrals
+and Gram entries are integer arithmetic; ``GaussianRational`` appears only
+where forms meet caller data.
 
 Conventions, validated by tests before anything is built on them:
 
@@ -18,9 +23,11 @@ Conventions, validated by tests before anything is built on them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .chernpoly import elementary_symmetric, evaluate, schur as schur_poly
@@ -30,30 +37,54 @@ from .inertia import InertiaReport, inertia, inertia_triple
 from .partitions import Partition
 
 Key = tuple[int, int]  # (I bitmask, J bitmask)
+Pair = tuple[int, int]  # Gaussian integer re + im*i
 
-# Largest accepted dimension.  Work grows 3x to 6x per dimension: the
-# hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 dense
-# with complex entries, took 0.55 s at d=6, 1.8 s at d=7 and 8.1 s at d=8 on
-# one core of a 2-vCPU Xeon host, so from d=9 on a verdict would take
-# minutes to hours and is refused up front.
+# Largest accepted dimension.  Work grows about 4x per dimension: the
+# hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 a dense
+# positive definite form with complex entries, took 0.05 s at d=6, 0.17 s at
+# d=7 and 0.66 s at d=8 on one core of a 2-vCPU Xeon host.  d >= 9 is
+# refused: no test or benchmark covers it yet.
 MAX_DIM = 8
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending subsets."""
-    inversions = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        inversions += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    return -1 if inversions & 1 else 1
+def _above_parity(mask: int, dim: int) -> int:
+    """Bit x is set iff an odd number of elements of ``mask`` lie above x.
+
+    Sorting the concatenation A|B of disjoint ascending subsets takes
+    popcount(_above_parity(A) & B) transpositions, modulo 2.
+    """
+    out = odd = 0
+    for x in range(dim - 1, -1, -1):
+        if odd:
+            out |= 1 << x
+        odd ^= (mask >> x) & 1
+    return out
+
+
+def _numerators(c: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + im*i) / den, den the lcm of the part denominators."""
+    den = math.lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (den // c.re.denominator),
+        c.im.numerator * (den // c.im.denominator),
+        den,
+    )
 
 
 class PQForm:
-    """Sparse (p,q)-form with Gaussian-rational coefficients."""
+    """Sparse (p,q)-form with Gaussian-rational coefficients.
 
-    __slots__ = ("dim", "p", "q", "coeffs")
+    The coefficient of dz_I dzbar_J is ``(re + im*i) / den`` for
+    ``coeffs[(I, J)] == (re, im)``: Gaussian-integer numerators over one
+    denominator per form.  Invariant: ``den > 0``, no ``(0, 0)`` pair is
+    stored, and the gcd of ``den`` and every numerator is 1 (so the zero
+    form has ``den == 1``).  Equal forms therefore have equal ``coeffs`` and
+    ``den``, and arithmetic on forms is integer arithmetic normalised once
+    per operation.  :meth:`coefficient` gives a coefficient as a
+    ``GaussianRational``.
+    """
+
+    __slots__ = ("dim", "p", "q", "coeffs", "den")
 
     def __init__(self, dim: int, p: int, q: int, coeffs: dict[Key, GaussianRational]):
         if dim < 1 or dim > MAX_DIM:
@@ -63,7 +94,7 @@ class PQForm:
         if p < 0 or q < 0:
             raise ValidationError("negative bidegree")
         full = (1 << dim) - 1
-        clean: dict[Key, GaussianRational] = {}
+        parts: dict[Key, tuple[int, int, int]] = {}
         for (i_mask, j_mask), c in coeffs.items():
             c = GaussianRational.coerce(c)
             if c.is_zero():
@@ -72,11 +103,33 @@ class PQForm:
                 raise ValidationError("index outside 1..dim")
             if i_mask.bit_count() != p or j_mask.bit_count() != q:
                 raise ValidationError("key size does not match the bidegree")
-            clean[(i_mask, j_mask)] = c
+            parts[(i_mask, j_mask)] = _numerators(c)
+        den = math.lcm(*(d for _, _, d in parts.values()))
+        nums = {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in parts.items()}
+        self._assign(dim, p, q, nums, den)
+
+    def _assign(self, dim: int, p: int, q: int, nums: dict[Key, Pair], den: int) -> None:
+        """Store ``nums / den`` in lowest terms, dropping zero coefficients."""
+        nums = {key: c for key, c in nums.items() if c[0] or c[1]}
+        g = math.gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
+            den //= g
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_numerators(
+        cls, dim: int, p: int, q: int, nums: dict[Key, Pair], den: int
+    ) -> "PQForm":
+        """The form ``nums / den`` (den > 0) with keys already checked
+        against ``dim``, ``p`` and ``q``: the result of an operation on forms."""
+        form = object.__new__(cls)
+        form._assign(dim, p, q, nums, den)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("PQForm is immutable")
@@ -100,6 +153,11 @@ class PQForm:
 
     # -- structure ------------------------------------------------------
 
+    def coefficient(self, key: Key) -> GaussianRational:
+        """The coefficient of dz_I dzbar_J for ``key = (I, J)`` (0 if absent)."""
+        re, im = self.coeffs.get(key, (0, 0))
+        return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -111,15 +169,8 @@ class PQForm:
 
     def conj(self) -> "PQForm":
         sign = -1 if (self.p * self.q) & 1 else 1
-        return PQForm(
-            self.dim,
-            self.q,
-            self.p,
-            {
-                (j_mask, i_mask): c.conj() * sign
-                for (i_mask, j_mask), c in self.coeffs.items()
-            },
-        )
+        nums = {(j, i): (sign * re, -sign * im) for (i, j), (re, im) in self.coeffs.items()}
+        return PQForm._from_numerators(self.dim, self.q, self.p, nums, self.den)
 
     def is_real(self) -> bool:
         return self.conj() == self
@@ -138,25 +189,29 @@ class PQForm:
         if not isinstance(other, PQForm):
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            merged[key] = merged.get(key, GaussianRational(0)) + c
-        return PQForm(self.dim, self.p, self.q, merged)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        merged = {key: (re * sa, im * sa) for key, (re, im) in self.coeffs.items()}
+        for key, (re, im) in other.coeffs.items():
+            r0, i0 = merged.get(key, (0, 0))
+            merged[key] = (r0 + re * sb, i0 + im * sb)
+        return PQForm._from_numerators(self.dim, self.p, self.q, merged, den)
 
     def __neg__(self):
-        return PQForm(
-            self.dim, self.p, self.q, {k: -c for k, c in self.coeffs.items()}
-        )
+        nums = {key: (-re, -im) for key, (re, im) in self.coeffs.items()}
+        return PQForm._from_numerators(self.dim, self.p, self.q, nums, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            s = GaussianRational.coerce(other)
-            return PQForm(
-                self.dim, self.p, self.q, {k: c * s for k, c in self.coeffs.items()}
-            )
+            sr, si, sd = _numerators(GaussianRational.coerce(other))
+            nums = {
+                key: (re * sr - im * si, re * si + im * sr)
+                for key, (re, im) in self.coeffs.items()
+            }
+            return PQForm._from_numerators(self.dim, self.p, self.q, nums, self.den * sd)
         if isinstance(other, PQForm):
             return wedge(self, other)
         return NotImplemented
@@ -179,6 +234,7 @@ class PQForm:
             isinstance(other, PQForm)
             and self.dim == other.dim
             and (self.p, self.q) == (other.p, other.q)
+            and self.den == other.den
             and self.coeffs == other.coeffs
         )
 
@@ -193,44 +249,70 @@ def wedge(a: PQForm, b: PQForm) -> PQForm:
 
     dz_I dzbar_J wedge dz_K dzbar_L picks up (-1)^(|J||K|) for moving the
     dz_K block through the dzbar_J block, times the two shuffle signs that
-    sort I|K and J|L; colliding indices kill the term.
+    sort I|K and J|L; colliding indices kill the term.  A term's key (I, J)
+    is packed as I | J << dim, so one AND finds a collision and one popcount
+    the shuffle sign.
     """
     if a.dim != b.dim:
         raise ValidationError("forms live on different dimensions")
-    p, q = a.p + b.p, a.q + b.q
-    out: dict[Key, GaussianRational] = {}
-    block_parity = (a.q * b.p) & 1
-    for (i1, j1), c1 in a.coeffs.items():
-        for (i2, j2), c2 in b.coeffs.items():
-            if i1 & i2 or j1 & j2:
+    dim = a.dim
+    sign = -1 if (a.q * b.p) & 1 else 1
+    left = [
+        (i | j << dim, _above_parity(i, dim) | _above_parity(j, dim) << dim, sign * re, sign * im)
+        for (i, j), (re, im) in a.coeffs.items()
+    ]
+    right = [(i | j << dim, re, im) for (i, j), (re, im) in b.coeffs.items()]
+    out: dict[int, Pair] = {}
+    get = out.get
+    for packed1, above1, r1, m1 in left:
+        for packed2, r2, m2 in right:
+            if packed1 & packed2:
                 continue
-            sign = _merge_sign(i1, i2) * _merge_sign(j1, j2)
-            if block_parity:
-                sign = -sign
-            key = (i1 | i2, j1 | j2)
-            term = c1 * c2 * sign
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return PQForm(a.dim, p, q, out)
+            if (above1 & packed2).bit_count() & 1:
+                re, im = m1 * m2 - r1 * r2, -r1 * m2 - m1 * r2
+            else:
+                re, im = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
+            key = packed1 | packed2
+            prev = get(key)
+            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    full = (1 << dim) - 1
+    nums = {(key & full, key >> dim): c for key, c in out.items()}
+    return PQForm._from_numerators(dim, a.p + b.p, a.q + b.q, nums, a.den * b.den)
+
+
+def _top_numerators(a: PQForm, b: PQForm) -> Pair:
+    """Numerators, over a.den * b.den, of the coefficient of
+    dz_{1..d} dzbar_{1..d} in a wedge b, found by looking up the
+    complement of each term of the smaller form in the larger."""
+    dim = a.dim
+    full = (1 << dim) - 1
+    odd = (a.q * b.p) & 1
+    small, large = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
+    total_re = total_im = 0
+    for (i, j), (r1, m1) in small.coeffs.items():
+        c2 = large.coeffs.get((full ^ i, full ^ j))
+        if c2 is None:
+            continue
+        r2, m2 = c2
+        re, im = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
+        if small is b:
+            i, j = full ^ i, full ^ j
+        shuffles = (_above_parity(i, dim) & ~i).bit_count()
+        shuffles += (_above_parity(j, dim) & ~j).bit_count()
+        if (odd + shuffles) & 1:
+            re, im = -re, -im
+        total_re += re
+        total_im += im
+    return total_re, total_im
 
 
 def wedge_top_coefficient(a: PQForm, b: PQForm) -> GaussianRational:
     """Coefficient of dz_{1..d} dzbar_{1..d} in a wedge b, without expanding."""
     if a.dim != b.dim:
         raise ValidationError("forms live on different dimensions")
-    full = (1 << a.dim) - 1
-    total = GaussianRational(0)
-    block_parity = (a.q * b.p) & 1
-    for (i1, j1), c1 in a.coeffs.items():
-        key = (full & ~i1, full & ~j1)
-        c2 = b.coeffs.get(key)
-        if c2 is None:
-            continue
-        sign = _merge_sign(i1, key[0]) * _merge_sign(j1, key[1])
-        if block_parity:
-            sign = -sign
-        total = total + c1 * c2 * sign
-    return total
+    re, im = _top_numerators(a, b)
+    den = a.den * b.den
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +322,17 @@ def _volume_coefficient(dim: int) -> GaussianRational:
     for j in range(1, dim + 1):
         vol = wedge(vol, PQForm.dz_dzbar(dim, j, j, GaussianRational.i()))
     full = (1 << dim) - 1
-    return vol.coeffs[(full, full)]
+    return vol.coefficient((full, full))
+
+
+def _real_over_volume(top: Pair, den: int, vol: tuple[int, int, int], fault: str) -> Fraction:
+    """``(re + im*i) / den`` divided by the volume coefficient ``vol``
+    (as numerators); the quotient must be real, else ``fault`` is raised."""
+    re, im = top
+    vr, vi, vd = vol
+    if im * vr != re * vi:
+        raise RuntimeError(fault)
+    return Fraction((re * vr + im * vi) * vd, den * (vr * vr + vi * vi))
 
 
 def integrate_top(omega: PQForm) -> Fraction:
@@ -257,11 +349,12 @@ def integrate_top(omega: PQForm) -> Fraction:
     if not omega.is_real():
         raise PreconditionError("top integral of a non-real form")
     full = (1 << omega.dim) - 1
-    c = omega.coeffs.get((full, full), GaussianRational(0))
-    r = c / _volume_coefficient(omega.dim)
-    if r.im != 0:
-        raise RuntimeError("internal: real form integrated to a non-real value")
-    return r.re
+    return _real_over_volume(
+        omega.coeffs.get((full, full), (0, 0)),
+        omega.den,
+        _numerators(_volume_coefficient(omega.dim)),
+        "internal: real form integrated to a non-real value",
+    )
 
 
 class HermitianOneOne:
@@ -398,17 +491,20 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
     if not omega.is_real():
         raise PreconditionError("Hodge-Riemann pairing of a non-real form")
     basis = real_oneone_basis(d)
-    vol = _volume_coefficient(d)
+    vol = _numerators(_volume_coefficient(d))
     mids = [wedge(b, omega) for b in basis]
     n = len(basis)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = wedge_top_coefficient(mids[i], basis[j]) / vol
-            if val.im != 0:
-                raise RuntimeError("internal: non-real Gram entry")
-            gram[i][j] = val.re
-            gram[j][i] = val.re
+            val = _real_over_volume(
+                _top_numerators(mids[i], basis[j]),
+                mids[i].den * basis[j].den,
+                vol,
+                "internal: non-real Gram entry",
+            )
+            gram[i][j] = val
+            gram[j][i] = val
     return gram
 
 

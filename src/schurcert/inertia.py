@@ -76,39 +76,55 @@ def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
     has determinant -1 and takes [[0, a], [a, 0]] to diag(a, -a).  So the
     signs of the entries give the inertia, the number of nonzero entries the
     rank, and their product det M.  Non-symmetric input is rejected.
+
+    The elimination is fraction-free (Bareiss 1968) on the integer matrix
+    A = L*M, L > 0 the lcm of the denominators.  Once the pivots S are
+    eliminated, entry (r, s) holds the integer minor det A[S+r, S+s], and
+    each update divides exactly by the previous leading minor
+    ``prev = det A[S, S]``.  The Schur complement of M at (r, s) is that
+    minor over ``L * prev``, so the pivots are read off as exact ratios.
     """
-    m = _to_rows(matrix)
+    rows = _to_rows(matrix)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     live = list(range(len(m)))
+    prev = 1
     diag: list[Fraction] = []
     while live:
-        pivot = next((j for j in live if m[j][j] != 0), None)
+        pivot = next((j for j in live if m[j][j]), None)
         if pivot is not None:
             d = m[pivot][pivot]
-            diag.append(d)
+            diag.append(Fraction(d, prev * scale))
             live.remove(pivot)
-            col = {r: m[r][pivot] for r in live}
-            for r in live:
-                cr = col[r]
-                if cr == 0:
-                    continue
-                for s in live:
-                    m[r][s] -= cr * col[s] / d
+            row_p = m[pivot]
+            for x, r in enumerate(live):
+                row = m[r]
+                cr = row_p[r]
+                for s in live[x:]:
+                    v = (d * row[s] - cr * row_p[s]) // prev
+                    row[s] = v
+                    m[s][r] = v
+            prev = d
             continue
-        off = next(
-            ((j, k) for j in live for k in live if k > j and m[j][k] != 0), None
-        )
+        off = next(((j, k) for j in live for k in live if k > j and m[j][k]), None)
         if off is None:
             break  # remaining block is zero
         j, k = off
         a = m[j][k]
-        diag += [a, -a]
+        diag += [Fraction(a, prev * scale), Fraction(-a, prev * scale)]
         live.remove(j)
         live.remove(k)
-        colj = {r: m[r][j] for r in live}
-        colk = {r: m[r][k] for r in live}
-        for r in live:
-            for s in live:
-                m[r][s] -= (colj[r] * colk[s] + colk[r] * colj[s]) / a
+        row_j, row_k = m[j], m[k]
+        # det A[S+j+k+r, S+j+k+s] = -a (a m_rs - m_rj m_ks - m_rk m_js) / prev^2
+        square = prev * prev
+        for x, r in enumerate(live):
+            row = m[r]
+            rj, rk = row_j[r], row_k[r]
+            for s in live[x:]:
+                v = -a * (a * row[s] - rj * row_k[s] - rk * row_j[s]) // square
+                row[s] = v
+                m[s][r] = v
+        prev = -a * a // prev
     return diag + [Fraction(0)] * len(live)
 
 

@@ -46,21 +46,17 @@ def random_ample_bundle(
 ) -> SplitBundle:
     """Split bundle passing the all-positive-coefficients criterion.
 
-    Roots get strictly positive coefficients; an optional small twist
-    (possibly with negative entries) is drawn until every shifted root
-    stays strictly positive.
+    Roots get coefficients 2..5; half the bundles also get a twist with
+    entries -1..2.  Every shifted root then has coefficients of at least 1,
+    so the twist is drawn once and never needs a positivity test.
     """
     k = len(model.gen_names)
     roots = [
         model.degree_one([rng.randint(2, 5) for _ in range(k)]) for _ in range(rank)
     ]
     if with_twist and rng.random() < 0.5:
-        for _ in range(20):
-            candidate = model.degree_one(
-                [Fraction(rng.randint(-1, 2)) for _ in range(k)]
-            )
-            if all(c > 0 for root in roots for c in (root + candidate).coeffs):
-                return SplitBundle(model, roots, candidate)
+        twist = model.degree_one([Fraction(rng.randint(-1, 2)) for _ in range(k)])
+        return SplitBundle(model, roots, twist)
     return SplitBundle(model, roots)
 
 

@@ -257,6 +257,12 @@ def _sign_at(p: QPoly, x, infinity: int) -> int:
     return s
 
 
+def _variations_at(chain: Sequence[QPoly], x: Fraction | None, infinity: int = 0) -> int:
+    """Sign variations of a Sturm chain at ``x``, or at ``infinity`` (-1 or
+    +1) when x is None."""
+    return _variations([_sign_at(q, x, 0 if x is not None else infinity) for q in chain])
+
+
 def count_real_roots(
     p: QPoly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
@@ -269,9 +275,7 @@ def count_real_roots(
     if p.degree() == 0:
         return 0
     chain = sturm_chain(p)
-    va = _variations([_sign_at(q, lo, 0 if lo is not None else -1) for q in chain])
-    vb = _variations([_sign_at(q, hi, 0 if hi is not None else +1) for q in chain])
-    return va - vb
+    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1)
 
 
 def cauchy_root_bound(p: QPoly) -> Fraction:
@@ -298,15 +302,19 @@ def isolate_real_root(
     if hi <= lower:
         hi = lower + 1
     lo = lower
-    total = count_real_roots(q, lo, hi)
-    if total == 0:
+    # One chain serves every count: the roots in (lo, hi] number
+    # v(lo) - v(hi), and each bisection step evaluates the chain once.
+    chain = sturm_chain(q)
+    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
+    if v_lo == v_hi:
         raise ValidationError(f"no real root above {lower}")
-    while hi - lo >= width or count_real_roots(q, lo, hi) != 1:
+    while hi - lo >= width or v_lo - v_hi != 1:
         mid = (lo + hi) / 2
-        if count_real_roots(q, lo, mid) >= 1:
-            hi = mid
+        v_mid = _variations_at(chain, mid)
+        if v_lo - v_mid >= 1:
+            hi, v_hi = mid, v_mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
     return lo, hi
 
 

@@ -235,6 +235,196 @@ def positive_definite_by_minors(entries) -> bool:
     return True
 
 
+def gaussian_coefficients(form) -> dict:
+    """The coefficients of a ``PQForm`` as a map from (I, J) to ``GaussianRational``."""
+    return {key: form.coefficient(key) for key in form.coeffs}
+
+
+def _merge_sign(a: int, b: int) -> int:
+    """Sign of sorting the concatenation of two disjoint ascending subsets."""
+    inversions = 0
+    bb = b
+    while bb:
+        low = bb & -bb
+        inversions += (a >> low.bit_length()).bit_count()
+        bb ^= low
+    return -1 if inversions & 1 else 1
+
+
+class GaussianForm:
+    """Oracle (p,q)-form: a map from (I, J) bitmasks to ``GaussianRational``.
+
+    Its wedge is the loop the forms module ran before its integer kernel,
+    one ``GaussianRational`` product per pair of terms, so comparing a
+    ``PQForm`` with it checks the numerator/denominator arithmetic against
+    field arithmetic that shares none of it.  It supports what the
+    generic ``elementary_symmetric`` and ``evaluate`` need.
+    """
+
+    def __init__(self, dim: int, p: int, q: int, coeffs):
+        self.dim, self.p, self.q = dim, p, q
+        self.coeffs = {
+            key: GaussianRational.coerce(c) for key, c in coeffs.items() if c != 0
+        }
+
+    @classmethod
+    def of(cls, form) -> "GaussianForm":
+        return cls(form.dim, form.p, form.q, gaussian_coefficients(form))
+
+    @classmethod
+    def one(cls, dim: int) -> "GaussianForm":
+        return cls(dim, 0, 0, {(0, 0): GaussianRational(1)})
+
+    def __add__(self, other: "GaussianForm") -> "GaussianForm":
+        assert (self.dim, self.p, self.q) == (other.dim, other.p, other.q)
+        merged = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            merged[key] = merged.get(key, GaussianRational(0)) + c
+        return GaussianForm(self.dim, self.p, self.q, merged)
+
+    def __neg__(self) -> "GaussianForm":
+        return self * -1
+
+    def __sub__(self, other: "GaussianForm") -> "GaussianForm":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianForm):
+            return wedge_oracle(self, other)
+        s = GaussianRational.coerce(other)
+        return GaussianForm(
+            self.dim, self.p, self.q, {k: c * s for k, c in self.coeffs.items()}
+        )
+
+    def __pow__(self, n: int) -> "GaussianForm":
+        result = GaussianForm.one(self.dim)
+        for _ in range(n):
+            result = wedge_oracle(result, self)
+        return result
+
+    def __eq__(self, other):
+        return (self.dim, self.p, self.q, self.coeffs) == (
+            other.dim,
+            other.p,
+            other.q,
+            other.coeffs,
+        )
+
+
+def wedge_oracle(a: GaussianForm, b: GaussianForm) -> GaussianForm:
+    """Exterior product over ``GaussianRational``: the Koszul sign
+    (-1)^(|J||K|) times the shuffle signs of I|K and J|L, per pair of terms."""
+    out: dict = {}
+    block_parity = (a.q * b.p) & 1
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            if i1 & i2 or j1 & j2:
+                continue
+            sign = _merge_sign(i1, i2) * _merge_sign(j1, j2)
+            if block_parity:
+                sign = -sign
+            key = (i1 | i2, j1 | j2)
+            term = c1 * c2 * sign
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
+    return GaussianForm(a.dim, a.p + b.p, a.q + b.q, out)
+
+
+def _top_coefficient_oracle(a: GaussianForm, b: GaussianForm) -> GaussianRational:
+    full = (1 << a.dim) - 1
+    total = GaussianRational(0)
+    block_parity = (a.q * b.p) & 1
+    for (i1, j1), c1 in a.coeffs.items():
+        key = (full & ~i1, full & ~j1)
+        c2 = b.coeffs.get(key)
+        if c2 is None:
+            continue
+        sign = _merge_sign(i1, key[0]) * _merge_sign(j1, key[1])
+        if block_parity:
+            sign = -sign
+        total = total + c1 * c2 * sign
+    return total
+
+
+def _volume_oracle(dim: int) -> GaussianRational:
+    vol = GaussianForm.one(dim)
+    for j in range(dim):
+        vol = wedge_oracle(
+            vol, GaussianForm(dim, 1, 1, {(1 << j, 1 << j): GaussianRational.i()})
+        )
+    full = (1 << dim) - 1
+    return vol.coeffs[(full, full)]
+
+
+def integrate_top_oracle(omega: GaussianForm) -> Fraction:
+    """Top integral of a real (d,d)-form over ``GaussianRational``."""
+    full = (1 << omega.dim) - 1
+    r = omega.coeffs.get((full, full), GaussianRational(0)) / _volume_oracle(omega.dim)
+    assert r.im == 0
+    return r.re
+
+
+def hr_gram_oracle(omega: GaussianForm, basis) -> list[list[Fraction]]:
+    """The Hodge-Riemann Gram of ``omega`` on ``basis`` (oracle forms), by
+    oracle wedges and top coefficients over ``GaussianRational``."""
+    vol = _volume_oracle(omega.dim)
+    mids = [wedge_oracle(b, omega) for b in basis]
+    n = len(basis)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            val = _top_coefficient_oracle(mids[i], basis[j]) / vol
+            assert val.im == 0
+            gram[i][j] = gram[j][i] = val.re
+    return gram
+
+
+def congruence_diagonal_oracle(matrix) -> tuple[list[Fraction], int]:
+    """Congruence diagonal by ``Fraction`` elimination, and the number of
+    hyperbolic splits it took.
+
+    The reduction the inertia module ran before it went fraction-free: the
+    same pivot order (first nonzero diagonal entry, else the first nonzero
+    off-diagonal entry split as (a, -a)), with every Schur complement
+    formed over the rationals.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    live = list(range(len(m)))
+    diag: list[Fraction] = []
+    splits = 0
+    while live:
+        pivot = next((j for j in live if m[j][j] != 0), None)
+        if pivot is not None:
+            d = m[pivot][pivot]
+            diag.append(d)
+            live.remove(pivot)
+            col = {r: m[r][pivot] for r in live}
+            for r in live:
+                cr = col[r]
+                if cr == 0:
+                    continue
+                for s in live:
+                    m[r][s] -= cr * col[s] / d
+            continue
+        off = next(
+            ((j, k) for j in live for k in live if k > j and m[j][k] != 0), None
+        )
+        if off is None:
+            break
+        j, k = off
+        a = m[j][k]
+        diag += [a, -a]
+        splits += 1
+        live.remove(j)
+        live.remove(k)
+        colj = {r: m[r][j] for r in live}
+        colk = {r: m[r][k] for r in live}
+        for r in live:
+            for s in live:
+                m[r][s] -= (colj[r] * colk[s] + colk[r] * colj[s]) / a
+    return diag + [Fraction(0)] * len(live), splits
+
+
 @pytest.fixture
 def gaussian():
     return GaussianRational

@@ -1,11 +1,16 @@
 """The benchmark tracer names program functions; renaming one breaks ``--trace 1``.
 
 ``bench/tracer.py`` is loaded by path and only read: every entry of its
-``TARGETS`` table must still name a callable in ``schurcert.<layer>``.
+``TARGETS`` table must still name a callable in ``schurcert.<layer>``, and
+the sizes it reads off arguments and results must still be there.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -23,3 +28,61 @@ def test_tracer_targets_resolve():
     ]
     assert sum(len(funcs) for funcs in tracer.TARGETS.values()) > 0
     assert missing == []
+
+
+HR_CHECK_D4 = """
+[hermitian w1]
+row = 2, 0+1i, 0, 0
+row = 0-1i, 2, 0, 0
+row = 0, 0, 1, 1/2
+row = 0, 0, 1/2, 1
+
+[hermitian w2]
+row = 1, 0, 0, 0
+row = 0, 1/3, 0, 0
+row = 0, 0, 2, 0-1i
+row = 0, 0, 0+1i, 3
+
+[task hr-check]
+dimension = 4
+reference = w1
+schur = 1,1
+forms = w1, w2
+"""
+
+TRACED_RUN = r"""
+import importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+bench_tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_tracer)
+import schurcert.cli
+
+tracer = bench_tracer.Tracer()
+tracer.install()
+code = tracer.verdict_span(0, lambda: schurcert.cli.main(["--machine", "hr-check", sys.argv[2]]))
+metrics = bench_tracer.per_layer_metrics(tracer, 1)
+keys = ("forms.wedge.pairs", "inertia.inertia_triple.entry_bits", "gaussian.new")
+print(json.dumps({"code": code, **{key: metrics[key] for key in keys}}))
+"""
+
+
+def test_traced_hr_check_reads_form_sizes_gram_bits_and_gaussian_count(tmp_path):
+    # --trace 1 reads len(form.coeffs), .numerator on Gram entries and counts
+    # GaussianRational constructions; one traced d=4 hr-check must feed all three.
+    scenario = tmp_path / "hr.txt"
+    scenario.write_text(HR_CHECK_D4)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER), str(scenario)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert "hr=true" in lines
+    result = json.loads(lines[-1])
+    assert result["code"] == 0
+    assert result["forms.wedge.pairs"] > 0
+    assert result["inertia.inertia_triple.entry_bits"] > 0
+    assert result["gaussian.new"] >= 0

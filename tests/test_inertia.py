@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import inertia_by_charpoly
+from conftest import congruence_diagonal_oracle, inertia_by_charpoly
 
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
@@ -130,11 +130,18 @@ def _sparse_symmetric(rng, n):
     return m
 
 
-def test_congruence_diagonal_gives_det_inertia_and_rank():
+def _seeded_sparse_cases():
+    """200 seeded (matrix, invertible congruence) pairs, n <= 7."""
     rng = random.Random(1905)
     for _ in range(200):
         n = rng.randint(1, 7)
         m = _sparse_symmetric(rng, n)
+        yield m, random_invertible_matrix(rng, n)
+
+
+def test_congruence_diagonal_gives_det_inertia_and_rank():
+    for m, p in _seeded_sparse_cases():
+        n = len(m)
         diag = congruence_diagonal(m)
         assert len(diag) == n
         assert math.prod(diag, start=Fraction(1)) == det_in_ring(m, Fraction(1))
@@ -144,6 +151,36 @@ def test_congruence_diagonal_gives_det_inertia_and_rank():
             sum(1 for x in diag if x < 0),
         )
         assert signs == inertia_by_charpoly(m)
-        p = random_invertible_matrix(rng, n)
         det_p = det_in_ring(p, Fraction(1))
         assert rational_det(congruent(m, p)) == det_p * det_p * rational_det(m)
+
+
+def test_fraction_free_diagonal_matches_fraction_oracle():
+    hyperbolic = from_zero_diagonal = 0
+    for m, p in _seeded_sparse_cases():
+        expected, splits = congruence_diagonal_oracle(m)
+        assert congruence_diagonal(m) == expected
+        hyperbolic += splits > 0
+        from_zero_diagonal += splits > 0 and all(m[i][i] == 0 for i in range(len(m)))
+        # A congruent copy with larger denominators and entries.
+        mp = congruent(m, p)
+        assert congruence_diagonal(mp) == congruence_diagonal_oracle(mp)[0]
+    # 76 start from an all-zero diagonal; 5 more reach a zero block later.
+    assert (hyperbolic, from_zero_diagonal) == (81, 76)
+
+
+def test_fraction_free_diagonal_on_scaled_and_degenerate_input():
+    rng = random.Random(1968)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        m = _sparse_symmetric(rng, n)
+        # Rank-deficient: repeat a row and column.
+        if n > 1:
+            j = rng.randrange(n - 1)
+            for row in m:
+                row[-1] = row[j]
+            m[-1] = list(m[j])
+        for scale in (Fraction(1), Fraction(-7, 3), Fraction(1, 360)):
+            scaled = [[x * scale for x in row] for row in m]
+            assert congruence_diagonal(scaled) == congruence_diagonal_oracle(scaled)[0]
+    assert congruence_diagonal([]) == []

@@ -122,3 +122,48 @@ def test_compose():
     inner = QPoly.of(0, 2, 3)  # 2t + 3t^2
     p = x * x  # square
     assert p.compose(inner) == inner * inner
+
+
+@pytest.fixture
+def chains_built(monkeypatch):
+    """The polynomials ``qpoly.sturm_chain`` is called on, in call order."""
+    import schurcert.qpoly as qpoly
+
+    built = []
+    real_chain = qpoly.sturm_chain
+
+    def counted(p):
+        built.append(p)
+        return real_chain(p)
+
+    monkeypatch.setattr(qpoly, "sturm_chain", counted)
+    return built
+
+
+def test_isolation_builds_one_sturm_chain(chains_built):
+    x = QPoly.x()
+    p = (x * x - QPoly.of(2)) * (x - QPoly.of(5)) ** 2
+    for width in (Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**10)):
+        chains_built.clear()
+        lo, hi = isolate_real_root(p, width)
+        assert len(chains_built) == 1
+        assert hi - lo < width and lo * lo < 2 < hi * hi
+
+
+def test_hl_scan_intervals_unchanged(chains_built):
+    # The intervals hl-scan printed when every bisection step built its own
+    # Sturm chains; one chain per isolation must give the same bisection.
+    from schurcert.certify import hl_failure_scan
+
+    expected = {
+        Fraction(1, 100): (Fraction(5, 32), Fraction(21, 128)),
+        Fraction(1, 10**6): (Fraction(171811, 1048576), Fraction(42953, 262144)),
+        Fraction(1, 10**10): (
+            Fraction(1407483309, 8589934592),
+            Fraction(2814966619, 17179869184),
+        ),
+    }
+    for width, interval in expected.items():
+        chains_built.clear()
+        assert hl_failure_scan(width).interval == interval
+        assert len(chains_built) == 1
