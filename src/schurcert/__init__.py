@@ -32,7 +32,6 @@ from .chernpoly import (
     derived_schur,
     format_poly,
     schur,
-    segre_derived,
 )
 from .errors import (
     HypothesisError,

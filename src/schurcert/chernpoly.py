@@ -106,14 +106,6 @@ class ChernPoly:
             return cls.zero(rank, nextra)
         return cls(rank, {((k,), (0,) * nextra): Fraction(1)}, nextra)
 
-    @classmethod
-    def twist_var(cls, rank: int, slot: int = 0, nextra: int = 1) -> "ChernPoly":
-        """The degree-1 twist variable living in the given slot."""
-        if not 0 <= slot < nextra:
-            raise ValidationError(f"twist slot {slot} out of range for nextra={nextra}")
-        extras = tuple(1 if i == slot else 0 for i in range(nextra))
-        return cls(rank, {((), extras): Fraction(1)}, nextra)
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -209,26 +201,6 @@ class ChernPoly:
             rest = extras[:slot] + extras[slot + 1 :]
             out[(cs, rest)] = coeff
         return ChernPoly(self.rank, out, self.nextra - 1)
-
-    def promote(self, nextra: int, slots: Sequence[int] | None = None) -> "ChernPoly":
-        """Reinterpret in an algebra with ``nextra`` twist variables.
-
-        ``slots[i]`` is the destination of the current i-th twist variable;
-        by default existing variables keep their positions.
-        """
-        if slots is None:
-            slots = tuple(range(self.nextra))
-        if len(slots) != self.nextra or len(set(slots)) != len(slots):
-            raise ValidationError("bad slot assignment")
-        if any(s < 0 or s >= nextra for s in slots):
-            raise ValidationError("slot out of range")
-        out: dict[Monomial, Fraction] = {}
-        for (cs, extras), coeff in self.terms.items():
-            new = [0] * nextra
-            for i, e in enumerate(extras):
-                new[slots[i]] = e
-            out[(cs, tuple(new))] = coeff
-        return ChernPoly(self.rank, out, nextra)
 
     # -- pretty printing ------------------------------------------------
 
@@ -459,16 +431,3 @@ def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:
         )
     twisted = _jacobi_trudi_cached(mu.parts, rank, True)
     return twisted.twist_coefficient(order)
-
-
-def segre_derived(rank: int, order: int) -> ChernPoly:
-    """Closed form for the derived classes of the all-ones partition.
-
-    Equals ``binom(2*rank-1, 2*rank-1-order) * schur((1)^(rank-order))``;
-    tests check it against the general derived-class computation.
-    """
-    if order < 0 or order > rank:
-        raise ValidationError(f"order {order} out of range 0..{rank}")
-    lam = Partition((1,) * (rank - order))
-    coeff = Fraction(math.comb(2 * rank - 1, 2 * rank - 1 - order))
-    return schur(lam, rank) * coeff

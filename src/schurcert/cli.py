@@ -139,7 +139,7 @@ def _cmd_hr_check(args) -> list[str]:
     omega, reference = _build_hr_form(sc, task)
     rep = hodge_riemann_verdict(omega, reference)
     return [
-        f"inertia=({rep.n_plus},{rep.n_zero},{rep.n_minus})",
+        f"inertia={rep}",
         f"positivity={rep.positivity_scalar}",
         f"hr={_bool(rep.hr_flag)}",
         f"hl={_bool(rep.hl_flag)}",

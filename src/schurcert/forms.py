@@ -164,9 +164,6 @@ class PQForm:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def bidegree(self) -> tuple[int, int]:
-        return (self.p, self.q)
-
     def conj(self) -> "PQForm":
         sign = -1 if (self.p * self.q) & 1 else 1
         nums = {(j, i): (sign * re, -sign * im) for (i, j), (re, im) in self.coeffs.items()}

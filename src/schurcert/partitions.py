@@ -51,10 +51,6 @@ class Partition:
         return sum(self.parts)
 
     @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
     def max_part(self) -> int:
         return self.parts[0] if self.parts else 0
 
@@ -65,12 +61,6 @@ class Partition:
         return Partition(
             tuple(sum(1 for p in self.parts if p > i) for i in range(self.parts[0]))
         )
-
-    def padded(self, n: int) -> tuple[int, ...]:
-        """Parts extended by zeros to length ``n`` (n >= length required)."""
-        if n < len(self.parts):
-            raise ValidationError(f"cannot pad length-{len(self.parts)} partition to {n}")
-        return self.parts + (0,) * (n - len(self.parts))
 
     def require_rank(self, rank: int) -> None:
         """Check the validity condition ``max part <= rank``."""

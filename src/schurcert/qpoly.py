@@ -163,12 +163,6 @@ class QPoly:
             return -p
         return p
 
-    def compose(self, inner: "QPoly") -> "QPoly":
-        acc = QPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + QPoly((c,))
-        return acc
-
     def __repr__(self):
         return f"QPoly({list(self.coeffs)!r})"
 

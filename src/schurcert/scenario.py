@@ -1,6 +1,6 @@
 """Line-oriented scenario files: sections of ``key = value`` pairs.
 
-Grammar (exercised, with round trips, in ``tests/test_scenario.py``)::
+Grammar (exercised in ``tests/test_scenario.py``)::
 
     file     := line*
     line     := blank | comment | section | pair
@@ -8,10 +8,12 @@ Grammar (exercised, with round trips, in ``tests/test_scenario.py``)::
     section  := '[' word (' ' name)? ']'
     pair     := key '=' value
 
-Rational literals are ``p/q`` or integers; Gaussian rationals additionally
-allow ``re+imi`` / ``re-imi``.  Floating point is rejected everywhere.
-Unknown sections or keys are errors carrying a line/column diagnostic, not
-warnings.
+The ``[model]`` section holds one key, ``model = proj(n1,...,nk)`` or
+``model = abelian_square``.  Rational literals are ``p/q`` or integers;
+Gaussian rationals additionally allow ``re+imi`` / ``re-imi``.  Floating
+point and exponent notation are rejected in every literal, the
+coefficients of a ``combination`` included.  Unknown sections or keys are
+errors carrying a line/column diagnostic, not warnings.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .rings import RingModel, SplitBundle, abelian_square, proj
 
 # Section name -> (allowed keys, repeatable keys)
 _SECTION_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "model": (frozenset({"model", "type", "exponents"}), frozenset()),
+    "model": (frozenset({"model"}), frozenset()),
     "bundle": (frozenset({"root", "twist"}), frozenset({"root"})),
     "hermitian": (frozenset({"row"}), frozenset({"row"})),
     "task hr-check": (
@@ -180,38 +182,10 @@ def _assemble(sc: Scenario, raw, headers) -> None:
     for (section, name), entries in raw.items():
         header = headers[(section, name)]
         if section == "model":
-            kv = {k: (v, ln, col) for k, v, ln, col in entries}
-            if "model" in kv:
-                # compact form: model = proj(2,3) | abelian_square
-                if "type" in kv or "exponents" in kv:
-                    raise ScenarioError(
-                        "'model' excludes 'type'/'exponents'", kv["model"][1], kv["model"][2]
-                    )
-                sc.model_spec = _parse_model_literal(*kv["model"])
-                continue
-            if "type" not in kv:
-                raise ScenarioError("[model] needs 'model' or 'type'", *header)
-            mtype, ln, col = kv["type"][0], kv["type"][1], kv["type"][2]
-            if mtype == "proj":
-                if "exponents" not in kv:
-                    raise ScenarioError("proj model needs 'exponents'", ln, col)
-                vals = _parse_rational_list(*kv["exponents"])
-                exps = []
-                for v in vals:
-                    if v.denominator != 1 or v <= 0:
-                        raise ScenarioError(
-                            "exponents must be positive integers", kv["exponents"][1], kv["exponents"][2]
-                        )
-                    exps.append(int(v))
-                sc.model_spec = ("proj", tuple(exps))
-            elif mtype == "abelian_square":
-                if "exponents" in kv:
-                    raise ScenarioError(
-                        "abelian_square takes no exponents", kv["exponents"][1], kv["exponents"][2]
-                    )
-                sc.model_spec = ("abelian_square",)
-            else:
-                raise ScenarioError(f"unknown model type {mtype!r}", ln, col)
+            if not entries:
+                raise ScenarioError("[model] needs 'model'", *header)
+            _, value, ln, col = entries[0]
+            sc.model_spec = _parse_model_literal(value, ln, col)
         elif section == "bundle":
             roots = []
             twist = None
@@ -260,7 +234,6 @@ def _assemble_task(task: str, entries) -> dict[str, object]:
                 out[key] = value
             elif key == "combination":
                 out[key] = _parse_combination(value, ln, col)
-                out["combination_text"] = value
             elif key == "schur":
                 out[key] = _parse_partition(value, ln, col)
             elif key == "forms":
@@ -338,8 +311,8 @@ def _parse_combination(value: str, ln: int, col: int) -> tuple:
                 raise ScenarioError("empty factor in combination", ln, col)
             if factor[0].isdigit():
                 try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError):
+                    coeff *= parse_rational(factor)
+                except ValidationError:
                     raise ScenarioError(f"bad coefficient {factor!r}", ln, col)
                 continue
             if "^" in factor:
@@ -361,52 +334,3 @@ def _parse_combination(value: str, ln: int, col: int) -> tuple:
     if not terms:
         raise ScenarioError("empty combination", ln, col)
     return tuple(terms)
-
-
-def format_scenario(sc: Scenario) -> str:
-    """Canonical text for a scenario; parse(format_scenario(s)) == s."""
-    lines: list[str] = []
-    if sc.model_spec is not None:
-        lines.append("[model]")
-        if sc.model_spec[0] == "proj":
-            lines.append(
-                "model = proj(" + ",".join(str(n) for n in sc.model_spec[1]) + ")"
-            )
-        else:
-            lines.append("model = abelian_square")
-        lines.append("")
-    if sc.roots:
-        lines.append("[bundle]")
-        for root in sc.roots:
-            lines.append("root = " + ",".join(str(c) for c in root))
-        if sc.twist is not None:
-            lines.append("twist = " + ",".join(str(c) for c in sc.twist))
-        lines.append("")
-    for name, rows in sc.hermitians.items():
-        lines.append(f"[hermitian {name}]")
-        for row in rows:
-            lines.append("row = " + ", ".join(str(x) for x in row))
-        lines.append("")
-    for task, kv in sc.tasks.items():
-        lines.append(f"[task {task}]")
-        for key, value in kv.items():
-            if key == "combination":
-                continue
-            if key == "combination_text":
-                lines.append(f"combination = {value}")
-            elif isinstance(value, Partition):
-                lines.append(f"{key} = {value.format()}")
-            elif key == "forms":
-                lines.append(f"{key} = " + ", ".join(value))
-            elif key == "schur" and isinstance(value, list):
-                for lam in value:
-                    lines.append(f"schur = {lam.format()}")
-            elif key == "derived":
-                for lam, order in value:
-                    lines.append(f"derived = {lam.format()} / {order}")
-            elif isinstance(value, tuple):
-                lines.append(f"{key} = " + ",".join(str(x) for x in value))
-            else:
-                lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

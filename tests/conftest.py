@@ -9,12 +9,13 @@ something they do not share.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import pytest
 
-from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate
+from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate, schur
 from schurcert.errors import ValidationError
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
@@ -121,6 +122,54 @@ def substitute(
     return evaluate(poly, c_images, ChernPoly.one(rank, nextra), extra_images)
 
 
+def twist_var(rank: int, slot: int = 0, nextra: int = 1) -> ChernPoly:
+    """The degree-1 twist variable living in the given slot."""
+    if not 0 <= slot < nextra:
+        raise ValidationError(f"twist slot {slot} out of range for nextra={nextra}")
+    extras = tuple(1 if i == slot else 0 for i in range(nextra))
+    return ChernPoly(rank, {((), extras): Fraction(1)}, nextra)
+
+
+def promote(poly: ChernPoly, nextra: int, slots: Sequence[int] | None = None) -> ChernPoly:
+    """Reinterpret ``poly`` in an algebra with ``nextra`` twist variables.
+
+    ``slots[i]`` is the destination of the current i-th twist variable;
+    by default existing variables keep their positions.
+    """
+    if slots is None:
+        slots = tuple(range(poly.nextra))
+    if len(slots) != poly.nextra or len(set(slots)) != len(slots):
+        raise ValidationError("bad slot assignment")
+    if any(s < 0 or s >= nextra for s in slots):
+        raise ValidationError("slot out of range")
+    out = {}
+    for (cs, extras), coeff in poly.terms.items():
+        new = [0] * nextra
+        for i, e in enumerate(extras):
+            new[slots[i]] = e
+        out[(cs, tuple(new))] = coeff
+    return ChernPoly(poly.rank, out, nextra)
+
+
+def segre_derived(rank: int, order: int) -> ChernPoly:
+    """Closed form for the derived classes of the all-ones partition.
+
+    Equals ``binom(2*rank-1, 2*rank-1-order) * schur((1)^(rank-order))``,
+    an oracle for the general ``derived_schur`` computation.
+    """
+    if order < 0 or order > rank:
+        raise ValidationError(f"order {order} out of range 0..{rank}")
+    lam = Partition((1,) * (rank - order))
+    return schur(lam, rank) * math.comb(2 * rank - 1, 2 * rank - 1 - order)
+
+
+def padded(lam: Partition, n: int) -> tuple[int, ...]:
+    """Parts of ``lam`` extended by zeros to length ``n`` (n >= len(lam))."""
+    if n < len(lam):
+        raise ValidationError(f"cannot pad length-{len(lam)} partition to {n}")
+    return lam.parts + (0,) * (n - len(lam))
+
+
 def schur_bialternant_oracle(lam: Partition, xs: Sequence[Fraction]) -> Fraction:
     """Evaluation of the Schur class at rational points by alternants.
 
@@ -140,7 +189,7 @@ def schur_bialternant_oracle(lam: Partition, xs: Sequence[Fraction]) -> Fraction
                     "alternant denominator vanishes: evaluation points must be "
                     "pairwise distinct (perturb and retry)"
                 )
-    mu = lam.conjugate().padded(e)
+    mu = padded(lam.conjugate(), e)
     num = [[xs[i] ** (mu[j] + e - 1 - j) for j in range(e)] for i in range(e)]
     den = [[xs[i] ** (e - 1 - j) for j in range(e)] for i in range(e)]
     return det_in_ring(num, Fraction(1)) / det_in_ring(den, Fraction(1))

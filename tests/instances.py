@@ -10,14 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .certify import BlockFormInstance
-from .chernpoly import det_in_ring
-from .errors import ValidationError
-from .forms import HermitianOneOne
-from .gaussian import GaussianRational
-from .inertia import congruent
-from .partitions import Partition, partitions_of
-from .rings import GradedClass, RingModel, SplitBundle
+from schurcert.certify import BlockFormInstance
+from schurcert.chernpoly import det_in_ring
+from schurcert.errors import ValidationError
+from schurcert.forms import HermitianOneOne
+from schurcert.gaussian import GaussianRational
+from schurcert.inertia import congruent
+from schurcert.rings import GradedClass, RingModel, SplitBundle
 
 
 def rng_for(master_seed: int, index: int) -> random.Random:
@@ -27,14 +26,6 @@ def rng_for(master_seed: int, index: int) -> random.Random:
 
 def random_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
-def random_partition(rng: random.Random, weight: int, max_part: int | None = None) -> Partition:
-    """Uniform over the (small) enumerated set of partitions."""
-    pool = list(partitions_of(weight, max_part))
-    if not pool:
-        raise ValidationError(f"no partitions of {weight} with parts <= {max_part}")
-    return pool[rng.randrange(len(pool))]
 
 
 def random_ample_class(rng: random.Random, model: RingModel, hi: int = 4) -> GradedClass:
@@ -110,7 +101,7 @@ def random_block_instance(rng: random.Random, rho: int) -> BlockFormInstance:
         [sum(lower[i][k] * upper[k][j] for k in range(rho)) for j in range(rho)]
         for i in range(rho)
     ]
-    binv = _invert_unimodular(b)
+    binv = invert_matrix(b)
 
     # Q_std = B^{-T} Q_adapted B^{-1}; phi_std = (1,0,...,0) B^{-1};
     # h = first adapted basis vector = first column of B.
@@ -120,7 +111,8 @@ def random_block_instance(rng: random.Random, rho: int) -> BlockFormInstance:
     return BlockFormInstance.of(q_std, phi_std, h)
 
 
-def _invert_unimodular(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of an invertible matrix, by Gauss-Jordan elimination."""
     n = len(m)
     aug = [
         [Fraction(x) for x in row]

@@ -9,7 +9,15 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import schur_bialternant_oracle, substitute
+from conftest import promote, schur_bialternant_oracle, substitute, twist_var
+from instances import (
+    random_ample_bundle,
+    random_ample_class,
+    random_block_instance,
+    random_pd_hermitian,
+    random_vector,
+    rng_for,
+)
 
 from schurcert.certify import (
     block_form_check,
@@ -33,14 +41,6 @@ from schurcert.forms import (
     wedge,
 )
 from schurcert.inertia import inertia, inertia_triple
-from schurcert.instances import (
-    random_ample_bundle,
-    random_ample_class,
-    random_block_instance,
-    random_pd_hermitian,
-    random_vector,
-    rng_for,
-)
 from schurcert.partitions import Partition, partitions_of
 from schurcert.qpoly import QPoly
 from schurcert.repro import _low_degree_identity_table
@@ -303,10 +303,10 @@ def test_criterion_10_oracle_equivalence():
     # Twist composition as a two-variable polynomial identity, e <= 4.
     for e in range(1, 5):
         c_imgs = {
-            k: chern_of_twist(k, e).promote(2, slots=(0,)) for k in range(1, e + 1)
+            k: promote(chern_of_twist(k, e), 2, slots=(0,)) for k in range(1, e + 1)
         }
-        u = ChernPoly.twist_var(e, slot=1, nextra=2)
-        dv = ChernPoly.twist_var(e, slot=0, nextra=2)
+        u = twist_var(e, slot=1, nextra=2)
+        dv = twist_var(e, slot=0, nextra=2)
         ident = {k: ChernPoly.generator(e, k, nextra=2) for k in range(1, e + 1)}
         for p in range(0, e + 1):
             lhs = substitute(chern_of_twist(p, e), c_imgs, extra_images=[u])
@@ -317,7 +317,7 @@ def test_criterion_10_oracle_equivalence():
     # Shift identity for all |mu| <= 4, e <= 4.
     for e in range(1, 5):
         ctw = {k: chern_of_twist(k, e) for k in range(1, e + 1)}
-        dvar = ChernPoly.twist_var(e)
+        dvar = twist_var(e)
         for weight in range(0, 5):
             for mu in partitions_of(weight, e):
                 for i in range(weight + 1):
@@ -329,7 +329,7 @@ def test_criterion_10_oracle_equivalence():
                     )
                     rhs = ChernPoly.zero(e, 1)
                     for k in range(i, weight + 1):
-                        rhs = rhs + derived_schur(mu, e, k).promote(1) * math.comb(
+                        rhs = rhs + promote(derived_schur(mu, e, k), 1) * math.comb(
                             k, i
                         ) * dvar ** (k - i)
                     if lhs != rhs:

@@ -3,6 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from instances import (
+    invert_matrix,
+    random_ample_bundle,
+    random_ample_class,
+    random_block_instance,
+    random_invertible_matrix,
+    random_vector,
+    rng_for,
+)
+
 from schurcert.certify import (
     BlockFormInstance,
     Nef2Coefficients,
@@ -18,15 +28,7 @@ from schurcert.certify import (
     schur_logconcavity_report,
 )
 from schurcert.errors import HypothesisError, PreconditionError, ValidationError
-from schurcert.inertia import quadratic_value
-from schurcert.instances import (
-    random_ample_bundle,
-    random_ample_class,
-    random_block_instance,
-    random_partition,
-    random_vector,
-    rng_for,
-)
+from schurcert.inertia import congruent, quadratic_value
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly, nonneg_on_reals
 from schurcert.rings import (
@@ -63,9 +65,6 @@ class TestHodgeIndex:
             rng = rng_for(31337, trial)
             n = rng.randint(2, 6)
             # diagonal Lorentz form congruently scrambled
-            from schurcert.instances import random_invertible_matrix
-            from schurcert.inertia import congruent
-
             diag = [
                 [
                     (Fraction(rng.randint(1, 4)) if i == 0 else Fraction(-rng.randint(1, 4)))
@@ -77,12 +76,9 @@ class TestHodgeIndex:
             ]
             p = random_invertible_matrix(rng, n)
             q = congruent(diag, p)
-            # find h with Q(h) > 0: image of e_0 under P^{-1}... simpler: probe
-            h = None
-            while h is None:
-                cand = random_vector(rng, n, 4)
-                if quadratic_value(q, cand) > 0:
-                    h = cand
+            # h = P^{-1} e_0, so Q(h) = D_00 > 0 by construction
+            h = [row[0] for row in invert_matrix(p)]
+            assert quadratic_value(q, h) == diag[0][0]
             v = random_vector(rng, n, 4)
             res = hodge_index_check(q, h, v)
             assert res.holds

@@ -3,7 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import schur_bialternant_oracle, ssyt_contents, substitute
+from conftest import (
+    promote,
+    schur_bialternant_oracle,
+    segre_derived,
+    ssyt_contents,
+    substitute,
+    twist_var,
+)
 
 from schurcert.chernpoly import (
     ChernPoly,
@@ -15,7 +22,6 @@ from schurcert.chernpoly import (
     format_poly,
     jacobi_trudi,
     schur,
-    segre_derived,
 )
 from schurcert.errors import ValidationError
 from schurcert.partitions import Partition, partitions_of
@@ -60,10 +66,10 @@ class TestSchur:
 class TestChernOfTwist:
     def test_paper_examples(self):
         e3 = chern_of_twist(1, 3)
-        d = ChernPoly.twist_var(3)
+        d = twist_var(3)
         assert e3 == ChernPoly.generator(3, 1, nextra=1) + d * 3
         assert chern_of_twist(0, 5) == ChernPoly.one(5, nextra=1)
-        d2 = ChernPoly.twist_var(2)
+        d2 = twist_var(2)
         assert chern_of_twist(2, 2) == (
             ChernPoly.generator(2, 2, nextra=1)
             + ChernPoly.generator(2, 1, nextra=1) * d2
@@ -109,10 +115,10 @@ class TestChernOfTwist:
         # Twisting twice by two formal variables equals one twist by their sum.
         for e in range(1, 5):
             c_imgs = {
-                k: chern_of_twist(k, e).promote(2, slots=(0,)) for k in range(1, e + 1)
+                k: promote(chern_of_twist(k, e), 2, slots=(0,)) for k in range(1, e + 1)
             }
-            u = ChernPoly.twist_var(e, slot=1, nextra=2)
-            dv = ChernPoly.twist_var(e, slot=0, nextra=2)
+            u = twist_var(e, slot=1, nextra=2)
+            dv = twist_var(e, slot=0, nextra=2)
             ident = {k: ChernPoly.generator(e, k, nextra=2) for k in range(1, e + 1)}
             for p in range(0, e + 1):
                 lhs = substitute(chern_of_twist(p, e), c_imgs, extra_images=[u])
@@ -152,7 +158,7 @@ class TestDerivedSchur:
         # s_mu^(i) on twisted generators == sum_k binom(k,i) s_mu^(k) d^(k-i).
         for e in range(1, 5):
             ctw = {k: chern_of_twist(k, e) for k in range(1, e + 1)}
-            dvar = ChernPoly.twist_var(e)
+            dvar = twist_var(e)
             for w in range(0, 5):
                 for mu in partitions_of(w, e):
                     for i in range(w + 1):
@@ -163,7 +169,7 @@ class TestDerivedSchur:
                             lhs = substitute(si, ctw, extra_images=[])
                         rhs = ChernPoly.zero(e, 1)
                         for k in range(i, w + 1):
-                            rhs = rhs + derived_schur(mu, e, k).promote(1) * math.comb(
+                            rhs = rhs + promote(derived_schur(mu, e, k), 1) * math.comb(
                                 k, i
                             ) * dvar ** (k - i)
                         assert lhs == rhs

@@ -120,6 +120,12 @@ class TestHrCheck:
         code, out, err = run(capsys, ["hr-check", str(path)])
         assert code == 2 and out == "" and "line 2" in err
 
+    @pytest.mark.parametrize("a", ["1.5", "1e1"])
+    def test_float_coefficient_exits_2(self, capsys, tmp_path, a):
+        code, out, err = run(capsys, ["hr-check", self.write(tmp_path, a)])
+        assert code == 2 and out == ""
+        assert "line 17, column 1" in err and a in err
+
     def test_zero_denominator_exits_2(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"
         path.write_text(
@@ -187,7 +193,7 @@ class TestNef2:
 
 class TestRingEval:
     SCN = (
-        "[model]\ntype = proj\nexponents = 2,3\n\n"
+        "[model]\nmodel = proj(2,3)\n\n"
         "[bundle]\nroot = 1,0\nroot = 1,0\nroot = 0,1\n\n"
         "[task ring-eval]\nschur = 1,1,1\nderived = 3 / 1\n"
     )
@@ -202,14 +208,21 @@ class TestRingEval:
 
     def test_missing_bundle_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nobundle.txt"
-        path.write_text("[model]\ntype = proj\nexponents = 2\n")
+        path.write_text("[model]\nmodel = proj(2)\n")
         code, _, err = run(capsys, ["ring-eval", str(path)])
         assert code == 2 and "root" in err
+
+    def test_type_and_exponents_keys_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "oldmodel.txt"
+        path.write_text("[model]\ntype = proj\nexponents = 2\n")
+        code, out, err = run(capsys, ["ring-eval", str(path)])
+        assert code == 2 and out == ""
+        assert "line 2, column 1" in err and "'type'" in err
 
 
 class TestLogconcaveAndHi2:
     SCN = (
-        "[model]\ntype = proj\nexponents = 2,2\n\n"
+        "[model]\nmodel = proj(2,2)\n\n"
         "[bundle]\nroot = 1,1\nroot = 2,1\nroot = 1,2\nroot = 3,2\nroot = 2,3\n\n"
         "[task logconcave]\nmu = 5\nh = 1,1\n\n"
         "[task hi2]\nh = 1,1\nalpha = 1,-1\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import gaussian_coefficients, positive_definite_by_minors, wedge_word_oracle
+from instances import random_pd_hermitian, rng_for
 
 from schurcert.chernpoly import elementary_symmetric
 from schurcert.errors import PreconditionError, ValidationError
@@ -21,7 +22,6 @@ from schurcert.forms import (
 )
 from schurcert.gaussian import GaussianRational
 from schurcert.inertia import inertia_triple
-from schurcert.instances import random_pd_hermitian, rng_for
 from schurcert.partitions import Partition
 
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from conftest import GaussianForm, hr_gram_oracle, integrate_top_oracle
+from instances import random_pd_hermitian, rng_for
 from test_acceptance import MASTER_SEED
 
 from schurcert.chernpoly import elementary_symmetric, evaluate, schur
@@ -24,7 +25,6 @@ from schurcert.forms import (
     wedge,
 )
 from schurcert.gaussian import GaussianRational
-from schurcert.instances import random_pd_hermitian, rng_for
 from schurcert.partitions import Partition
 
 def same(form: PQForm, oracle: GaussianForm) -> bool:

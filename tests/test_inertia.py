@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import congruence_diagonal_oracle, inertia_by_charpoly
+from instances import random_invertible_matrix, random_symmetric_matrix
 
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
@@ -17,7 +18,6 @@ from schurcert.inertia import (
     rational_det,
     restrict_to_kernel,
 )
-from schurcert.instances import random_invertible_matrix, random_symmetric_matrix
 
 
 def test_spec_examples():

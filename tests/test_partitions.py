@@ -1,4 +1,5 @@
 import pytest
+from conftest import padded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ def test_trailing_zeros_are_stripped():
 def test_weight_length_maxpart():
     lam = Partition([3, 1, 1])
     assert lam.weight == 5
-    assert lam.length == 3
+    assert len(lam) == 3
     assert lam.max_part == 3
     assert Partition([]).weight == 0
     assert Partition([]).max_part == 0
@@ -69,6 +70,6 @@ def test_partitions_of_enumeration():
 
 
 def test_padded():
-    assert Partition([2, 1]).padded(4) == (2, 1, 0, 0)
+    assert padded(Partition([2, 1]), 4) == (2, 1, 0, 0)
     with pytest.raises(ValidationError):
-        Partition([2, 1]).padded(1)
+        padded(Partition([2, 1]), 1)

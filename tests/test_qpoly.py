@@ -117,13 +117,6 @@ def test_cauchy_bound_contains_roots():
     assert count_real_roots(p, -b, b) == 3
 
 
-def test_compose():
-    x = QPoly.x()
-    inner = QPoly.of(0, 2, 3)  # 2t + 3t^2
-    p = x * x  # square
-    assert p.compose(inner) == inner * inner
-
-
 @pytest.fixture
 def chains_built(monkeypatch):
     """The polynomials ``qpoly.sturm_chain`` is called on, in call order."""

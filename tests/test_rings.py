@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import chern_by_subsets, schur_class_ssyt_oracle
+from instances import random_ample_bundle, random_ample_class, rng_for
 
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
 from schurcert.inertia import inertia_triple
-from schurcert.instances import random_ample_bundle, random_ample_class, rng_for
 from schurcert.partitions import Partition, partitions_of
 from schurcert.rings import (
     GradedClass,
