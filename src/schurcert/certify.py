@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .chernpoly import det_in_ring
 from .errors import HypothesisError, PreconditionError, ValidationError
 from .inertia import (
     inertia_triple,
@@ -443,8 +444,6 @@ def gram_pencil_scan(
         ]
         for i in range(n)
     ]
-    from .chernpoly import det_in_ring
-
     det_poly = det_in_ring(entries, QPoly.of(1))
     interval = isolate_real_root(det_poly, width, Fraction(0))
     return PencilScanResult(

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .partitions import Partition
+from .qpoly import _as_fraction
 
 # A monomial is a pair (cs, extras): `cs` is the sorted tuple of generator
 # indices (c_1*c_1*c_2 -> (1, 1, 2)), `extras` the exponent tuple of the
@@ -30,14 +31,6 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Display names for twist variables, in slot order.
 EXTRA_NAMES = ("d", "u", "v", "w")
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class ChernPoly:

@@ -7,6 +7,12 @@ file or an invalid value), 3 a mathematical hypothesis that the verdict
 needs was checked exactly and failed.  Any other exception is an internal
 fault and propagates with its traceback.
 
+Input checks live in ``scenario``: ``parse`` returns every section built
+and every task resolved, so each subcommand only computes and renders.
+The mathematical hypotheses (ampleness, rank at least the dimension, a
+Kaehler reference, the bidegree the pairing needs) are checked when the
+verdict is computed, and a failure exits 3.
+
 Output is fully computed before anything is printed, so validation errors
 never leave partial output behind.  ``ring-eval``, ``hr-check``, ``nef2``,
 ``hi2``, ``logconcave`` and ``hl-scan`` always print one deterministic block
@@ -30,7 +36,7 @@ from .certify import (
 )
 from .chernpoly import derived_schur, format_poly, schur
 from .errors import PreconditionError, ValidationError
-from .forms import HermitianOneOne, PQForm, hodge_riemann_verdict, schur_form, wedge
+from .forms import PQForm, hodge_riemann_verdict, schur_form, wedge
 from .partitions import Partition
 from .rings import chern, derived_schur_class, format_class, integrate, schur_class
 from .scenario import Scenario, parse, parse_rational
@@ -70,10 +76,11 @@ def _cmd_schur(args) -> list[str]:
 
 def _cmd_ring_eval(args) -> list[str]:
     sc = _read_scenario(args.scenario)
-    model = sc.model()
-    bundle = sc.bundle(model)
-    d = model.dimension
-    lines = [f"model={model!r}", f"dimension={d}", f"rank={bundle.rank}"]
+    bundle = sc.bundle
+    if bundle is None:
+        raise ValidationError("scenario declares no [bundle] roots")
+    d = bundle.model.dimension
+    lines = [f"model={bundle.model!r}", f"dimension={d}", f"rank={bundle.rank}"]
     for p in range(0, min(bundle.rank, d) + 1):
         lines.append(f"c{p}={format_class(chern(bundle, p))}")
     task = sc.tasks.get("ring-eval", {})
@@ -90,54 +97,30 @@ def _cmd_ring_eval(args) -> list[str]:
     return lines
 
 
-def _build_hr_form(sc: Scenario, task: dict) -> tuple[PQForm, HermitianOneOne]:
-    if "dimension" not in task:
-        raise ValidationError("[task hr-check] needs a dimension")
+def _hr_form(sc: Scenario, task: dict) -> PQForm:
     d = task["dimension"]
-    if "reference" not in task:
-        raise ValidationError("[task hr-check] needs a reference form")
-    reference = sc.hermitian(task["reference"])
-    if reference.dim != d:
-        raise ValidationError("reference form does not match the declared dimension")
-    if ("combination" in task) == ("schur" in task):
-        raise ValidationError(
-            "[task hr-check] needs exactly one of 'combination' or 'schur'"
-        )
     if "combination" in task:
-        total: PQForm | None = None
+        omega: PQForm | None = None
         for coeff, factors in task["combination"]:
             term = PQForm.one(d) * coeff
             for name, power in factors:
-                form = sc.hermitian(name)
-                if form.dim != d:
-                    raise ValidationError(f"form {name!r} has the wrong dimension")
-                term = wedge(term, form.to_form() ** power)
-            total = term if total is None else total + term
-        omega = total
+                term = wedge(term, sc.forms[name].to_form() ** power)
+            omega = term if omega is None else omega + term
     else:
-        names = task.get("forms")
-        if not names:
-            raise ValidationError("'schur' needs a 'forms' list")
-        omegas = []
-        for name in names:
-            form = sc.hermitian(name)
-            if form.dim != d:
-                raise ValidationError(f"form {name!r} has the wrong dimension")
-            omegas.append(form.to_form())
+        omegas = [sc.forms[name].to_form() for name in task["forms"]]
         omega = schur_form(task["schur"], omegas)
     if (omega.p, omega.q) != (d - 2, d - 2):
         raise PreconditionError(
             f"the certified pairing needs a ({d - 2},{d - 2})-form, "
             f"got bidegree ({omega.p},{omega.q})"
         )
-    return omega, reference
+    return omega
 
 
 def _cmd_hr_check(args) -> list[str]:
     sc = _read_scenario(args.scenario)
     task = _require_task(sc, "hr-check")
-    omega, reference = _build_hr_form(sc, task)
-    rep = hodge_riemann_verdict(omega, reference)
+    rep = hodge_riemann_verdict(_hr_form(sc, task), sc.forms[task["reference"]])
     return [
         f"inertia={rep}",
         f"positivity={rep.positivity_scalar}",
@@ -165,13 +148,7 @@ def _cmd_nef2(args) -> list[str]:
 def _cmd_hi2(args) -> list[str]:
     sc = _read_scenario(args.scenario)
     task = _require_task(sc, "hi2")
-    model = sc.model()
-    bundle = sc.bundle(model)
-    if "h" not in task or "alpha" not in task:
-        raise ValidationError("[task hi2] needs 'h' and 'alpha'")
-    h = model.degree_one(task["h"])
-    alpha = model.degree_one(task["alpha"])
-    res = hi2_check(bundle, h, alpha)
+    res = hi2_check(sc.bundle, task["h"], task["alpha"])
     return [
         f"lhs={res.lhs}",
         f"rhs={res.rhs}",
@@ -184,12 +161,7 @@ def _cmd_hi2(args) -> list[str]:
 def _cmd_logconcave(args) -> list[str]:
     sc = _read_scenario(args.scenario)
     task = _require_task(sc, "logconcave")
-    model = sc.model()
-    bundle = sc.bundle(model)
-    if "mu" not in task or "h" not in task:
-        raise ValidationError("[task logconcave] needs 'mu' and 'h'")
-    h = model.degree_one(task["h"])
-    rep = schur_logconcavity_report(bundle, task["mu"], h)
+    rep = schur_logconcavity_report(sc.bundle, task["mu"], task["h"])
     lines = [f"f({i})={v}" for i, v in enumerate(rep.values)]
     lines += [
         f"positive={_bool(rep.positive)}",

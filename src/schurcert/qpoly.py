@@ -46,10 +46,6 @@ class QPoly:
     def constant(cls, c) -> "QPoly":
         return cls((c,))
 
-    @classmethod
-    def x(cls) -> "QPoly":
-        return cls((0, 1))
-
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -291,14 +287,14 @@ def isolate_real_root(
     """
     if width <= 0:
         raise ValidationError("isolation width must be positive")
-    q = squarefree_part(p)
-    hi = cauchy_root_bound(q)
+    # One chain serves every count: the roots in (lo, hi] number
+    # v(lo) - v(hi), and each bisection step evaluates the chain once.
+    # Its head is the square-free part, which bounds the roots.
+    chain = sturm_chain(p)
+    hi = cauchy_root_bound(chain[0])
     if hi <= lower:
         hi = lower + 1
     lo = lower
-    # One chain serves every count: the roots in (lo, hi] number
-    # v(lo) - v(hi), and each bisection step evaluates the chain once.
-    chain = sturm_chain(q)
     v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
     if v_lo == v_hi:
         raise ValidationError(f"no real root above {lower}")

@@ -8,12 +8,29 @@ Grammar (exercised in ``tests/test_scenario.py``)::
     section  := '[' word (' ' name)? ']'
     pair     := key '=' value
 
-The ``[model]`` section holds one key, ``model = proj(n1,...,nk)`` or
-``model = abelian_square``.  Rational literals are ``p/q`` or integers;
-Gaussian rationals additionally allow ``re+imi`` / ``re-imi``.  Floating
-point and exponent notation are rejected in every literal, the
-coefficients of a ``combination`` included.  Unknown sections or keys are
-errors carrying a line/column diagnostic, not warnings.
+Sections: ``[model]`` holds ``model = proj(n1,...,nk)`` or ``model =
+abelian_square``; ``[bundle]`` one or more ``root`` vectors and at most one
+``twist``; ``[hermitian NAME]`` the ``row``s of a Hermitian matrix.  Tasks
+and their required keys: ``[task hr-check]`` needs ``dimension``,
+``reference`` and exactly one of ``combination`` and ``schur``, and
+``schur`` needs ``forms``; ``[task logconcave]`` needs ``mu`` and ``h``;
+``[task hi2]`` needs ``h`` and ``alpha``; ``[task ring-eval]`` takes any
+number of ``schur`` and ``derived`` (``partition / order``) keys.  Every
+task but ``hr-check`` needs a ``[bundle]``.
+
+Rational literals are ``p/q`` or integers; Gaussian rationals additionally
+allow ``re+imi`` / ``re-imi``.  Floating point and exponent notation are
+rejected in every literal, the coefficients of a ``combination`` included.
+
+``parse`` checks and resolves the whole file in one pass.  It builds the
+model, the bundle and every ``[hermitian]`` section, whether a task refers
+to it or not; each form name in ``reference``, ``forms`` or a
+``combination`` must name a declared section whose size is the task's
+``dimension``, and each vector (``root``, ``twist``, ``h``, ``alpha``) must
+have one entry per model generator.  Every defect raises a
+``ScenarioError`` carrying the line and column of the key at fault, or of
+the section header when the whole section is (a missing required key, a
+matrix that is not Hermitian).
 """
 
 from __future__ import annotations
@@ -25,56 +42,17 @@ from .errors import ScenarioError, ValidationError
 from .forms import HermitianOneOne
 from .gaussian import GaussianRational
 from .partitions import Partition
-from .rings import RingModel, SplitBundle, abelian_square, proj
-
-# Section name -> (allowed keys, repeatable keys)
-_SECTION_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "model": (frozenset({"model"}), frozenset()),
-    "bundle": (frozenset({"root", "twist"}), frozenset({"root"})),
-    "hermitian": (frozenset({"row"}), frozenset({"row"})),
-    "task hr-check": (
-        frozenset({"dimension", "reference", "combination", "schur", "forms"}),
-        frozenset(),
-    ),
-    "task logconcave": (frozenset({"mu", "h"}), frozenset()),
-    "task hi2": (frozenset({"h", "alpha"}), frozenset()),
-    "task ring-eval": (frozenset({"schur", "derived"}), frozenset({"schur", "derived"})),
-}
+from .rings import GradedClass, RingModel, SplitBundle, abelian_square, proj
 
 
 @dataclass
 class Scenario:
-    """Validated scenario contents."""
+    """A checked scenario: its sections built, its form names resolved."""
 
-    model_spec: tuple | None = None  # ("proj", (2, 3)) | ("abelian_square",)
-    roots: tuple[tuple[Fraction, ...], ...] = ()
-    twist: tuple[Fraction, ...] | None = None
-    hermitians: dict[str, tuple[tuple[GaussianRational, ...], ...]] = field(
-        default_factory=dict
-    )
+    model: RingModel | None = None
+    bundle: SplitBundle | None = None
+    forms: dict[str, HermitianOneOne] = field(default_factory=dict)
     tasks: dict[str, dict[str, object]] = field(default_factory=dict)
-
-    # -- materialization ------------------------------------------------
-
-    def model(self) -> RingModel:
-        if self.model_spec is None:
-            raise ValidationError("scenario declares no [model] section")
-        if self.model_spec[0] == "proj":
-            return proj(*self.model_spec[1])
-        return abelian_square()
-
-    def bundle(self, model: RingModel | None = None) -> SplitBundle:
-        if not self.roots:
-            raise ValidationError("scenario declares no [bundle] roots")
-        model = model or self.model()
-        roots = [model.degree_one(r) for r in self.roots]
-        twist = model.degree_one(self.twist) if self.twist is not None else None
-        return SplitBundle(model, roots, twist)
-
-    def hermitian(self, name: str) -> HermitianOneOne:
-        if name not in self.hermitians:
-            raise ValidationError(f"no [hermitian {name}] section declared")
-        return HermitianOneOne(self.hermitians[name])
 
 
 def parse_rational(text: str) -> Fraction:
@@ -88,34 +66,151 @@ def parse_rational(text: str) -> Fraction:
         raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
 
 
-def _parse_rational_list(value: str, line: int, col: int) -> tuple[Fraction, ...]:
-    items = [t for t in value.split(",")]
-    if not items or all(not t.strip() for t in items):
-        raise ScenarioError("empty coefficient list", line, col)
-    try:
-        return tuple(parse_rational(t.strip()) for t in items)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), line, col)
+# -- values: each parser takes the text and the model, and raises
+# ValidationError, which the caller places at the key's line and column.
 
 
-def _parse_gaussian_list(value: str, line: int, col: int) -> tuple[GaussianRational, ...]:
+def _model(value: str, model: RingModel | None) -> RingModel:
+    """The model named by ``proj(2,3)`` / ``abelian_square``."""
+    if value == "abelian_square":
+        return abelian_square()
+    if value.startswith("proj(") and value.endswith(")"):
+        exps = []
+        for tok in value[len("proj(") : -1].split(","):
+            tok = tok.strip()
+            if not tok.isdigit() or int(tok) < 1:
+                raise ValidationError("proj(...) needs positive integer exponents")
+            exps.append(int(tok))
+        return proj(*exps)
+    raise ValidationError(f"bad model literal {value!r}")
+
+
+def _vector(value: str, model: RingModel | None) -> GradedClass:
+    """A degree-1 class of the model, one coefficient per generator."""
+    items = value.split(",")
+    if all(not t.strip() for t in items):
+        raise ValidationError("empty coefficient list")
+    coeffs = [parse_rational(t.strip()) for t in items]
+    if model is None:
+        raise ValidationError("a vector needs a [model] section")
+    return model.degree_one(coeffs)
+
+
+def _row(value: str, model: RingModel | None) -> tuple[GaussianRational, ...]:
     out = []
     for tok in value.split(","):
         tok = tok.strip()
         try:
             out.append(GaussianRational.parse(tok))
         except ValidationError:
-            raise ScenarioError(f"bad Gaussian-rational literal {tok!r}", line, col)
+            raise ValidationError(f"bad Gaussian-rational literal {tok!r}")
     return tuple(out)
 
 
+def _dimension(value: str, model: RingModel | None) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"bad dimension {value!r}")
+
+
+def _name(value: str, model: RingModel | None) -> str:
+    return value
+
+
+def _names(value: str, model: RingModel | None) -> tuple[str, ...]:
+    return tuple(t.strip() for t in value.split(","))
+
+
+def _partition(value: str, model: RingModel | None) -> Partition:
+    return Partition.parse(value)
+
+
+def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
+    if "/" not in value:
+        raise ValidationError("derived entries look like 'partition / order'")
+    part_text, order_text = value.rsplit("/", 1)
+    try:
+        order = int(order_text.strip())
+    except ValueError:
+        raise ValidationError(f"bad derived order {order_text!r}")
+    return Partition.parse(part_text), order
+
+
+def _combination(value: str, model: RingModel | None) -> tuple:
+    """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...)."""
+    text = value.replace("-", "+-")
+    terms = []
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        negative = chunk.startswith("-")
+        if negative:
+            chunk = chunk[1:].strip()
+        coeff = Fraction(1)
+        factors: list[tuple[str, int]] = []
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValidationError("empty factor in combination")
+            if factor[0].isdigit() or factor[0] == ".":
+                try:
+                    coeff *= parse_rational(factor)
+                except ValidationError:
+                    raise ValidationError(f"bad coefficient {factor!r}")
+                continue
+            if "^" in factor:
+                name, _, power_text = factor.partition("^")
+                try:
+                    power = int(power_text)
+                except ValueError:
+                    raise ValidationError(f"bad power {power_text!r}")
+                if power < 0:
+                    raise ValidationError("negative power in combination")
+            else:
+                name, power = factor, 1
+            factors.append((name.strip(), power))
+        if negative:
+            coeff = -coeff
+        if not factors:
+            raise ValidationError("combination term without a form name")
+        terms.append((coeff, tuple(factors)))
+    if not terms:
+        raise ValidationError("empty combination")
+    return tuple(terms)
+
+
+# section -> key -> (parser, required, repeatable)
+_SECTIONS = {
+    "model": {"model": (_model, True, False)},
+    "bundle": {"root": (_vector, True, True), "twist": (_vector, False, False)},
+    "hermitian": {"row": (_row, True, True)},
+    "task hr-check": {
+        "dimension": (_dimension, True, False),
+        "reference": (_name, True, False),
+        "combination": (_combination, False, False),
+        "schur": (_partition, False, False),
+        "forms": (_names, False, False),
+    },
+    "task logconcave": {"mu": (_partition, True, False), "h": (_vector, True, False)},
+    "task hi2": {"h": (_vector, True, False), "alpha": (_vector, True, False)},
+    "task ring-eval": {
+        "schur": (_partition, False, True),
+        "derived": (_derived, False, True),
+    },
+}
+
+# Vectors need the model, and tasks need the bundle and the forms.
+_BUILD_ORDER = {"model": 0, "bundle": 1, "hermitian": 2}
+
+
 def parse(text: str) -> Scenario:
-    """Parse and validate scenario text; raises ScenarioError on any defect."""
-    sc = Scenario()
+    """Parse, check and resolve scenario text; raises ScenarioError on any defect."""
     section: str | None = None
     section_name: str | None = None
     raw: dict[tuple[str, str | None], list[tuple[str, str, int, int]]] = {}
-    headers: dict[tuple[str, str | None], tuple[int, int]] = {}
+    headers: dict[tuple[str, str | None], tuple[str, int, int]] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].rstrip()
@@ -141,9 +236,9 @@ def parse(text: str) -> Scenario:
             elif kind == "task":
                 if name is None:
                     raise ScenarioError("[task] needs a task name", lineno, col)
-                if canonical not in _SECTION_KEYS:
+                if canonical not in _SECTIONS:
                     raise ScenarioError(f"unknown task {name!r}", lineno, col)
-            elif canonical not in _SECTION_KEYS:
+            elif canonical not in _SECTIONS:
                 raise ScenarioError(f"unknown section [{inner}]", lineno, col)
             elif name is not None:
                 raise ScenarioError(f"section [{kind}] takes no name", lineno, col)
@@ -153,7 +248,7 @@ def parse(text: str) -> Scenario:
             if key in raw:
                 raise ScenarioError(f"duplicate section [{inner}]", lineno, col)
             raw[key] = []
-            headers[key] = (lineno, col)
+            headers[key] = (f"{kind} {name}" if name else kind, lineno, col)
             continue
         if "=" not in body:
             raise ScenarioError("expected 'key = value'", lineno, col)
@@ -162,175 +257,91 @@ def parse(text: str) -> Scenario:
         key_part, value = body.split("=", 1)
         key = key_part.strip()
         value = value.strip()
-        allowed, repeatable = _SECTION_KEYS[section]
-        if key not in allowed:
-            display = f"{section} {section_name}" if section == "hermitian" else section
-            raise ScenarioError(f"unknown key {key!r} in [{display}]", lineno, col)
+        keys = _SECTIONS[section]
+        if key not in keys:
+            label = headers[(section, section_name)][0]
+            raise ScenarioError(f"unknown key {key!r} in [{label}]", lineno, col)
         entries = raw[(section, section_name)]
-        if key not in repeatable and any(k == key for k, *_ in entries):
+        if not keys[key][2] and any(k == key for k, *_ in entries):
             raise ScenarioError(f"duplicate key {key!r}", lineno, col)
         entries.append((key, value, lineno, col))
 
-    _assemble(sc, raw, headers)
+    return _assemble(raw, headers)
+
+
+def _assemble(raw, headers) -> Scenario:
+    """Build the scenario from the raw entries; ``headers`` maps each
+    section to its label and the line and column of its header, which
+    errors about a whole section report."""
+    sc = Scenario()
+    for (section, name), entries in sorted(
+        raw.items(), key=lambda item: _BUILD_ORDER.get(item[0][0], 3)
+    ):
+        label, *header = headers[(section, name)]
+        values, where = _read_section(sc, section, label, entries, header)
+        if section == "model":
+            sc.model = values["model"]
+        elif section == "bundle":
+            sc.bundle = SplitBundle(sc.model, values["root"], values.get("twist"))
+        elif section == "hermitian":
+            try:
+                sc.forms[name] = HermitianOneOne(values["row"])
+            except ValidationError as exc:
+                raise ScenarioError(f"[{label}]: {exc}", *header)
+        else:
+            if section == "task hr-check":
+                _check_hr_forms(sc, values, where, header)
+            elif sc.bundle is None:  # every other task reads the bundle
+                raise ScenarioError(f"[{label}] needs a [bundle] section", *header)
+            sc.tasks[name] = values
     return sc
 
 
-def _assemble(sc: Scenario, raw, headers) -> None:
-    """Build ``sc`` from the raw entries; ``headers`` maps each section to
-    the line and column of its header, which errors about a whole section
-    report."""
-    for (section, name), entries in raw.items():
-        header = headers[(section, name)]
-        if section == "model":
-            if not entries:
-                raise ScenarioError("[model] needs 'model'", *header)
-            _, value, ln, col = entries[0]
-            sc.model_spec = _parse_model_literal(value, ln, col)
-        elif section == "bundle":
-            roots = []
-            twist = None
-            for key, value, ln, col in entries:
-                if key == "root":
-                    roots.append(_parse_rational_list(value, ln, col))
-                else:
-                    twist = _parse_rational_list(value, ln, col)
-            if not roots:
-                raise ScenarioError("[bundle] needs at least one root", *header)
-            widths = {len(r) for r in roots} | ({len(twist)} if twist else set())
-            if len(widths) != 1:
-                raise ScenarioError("bundle vectors have inconsistent lengths", entries[0][2], 1)
-            sc.roots = tuple(roots)
-            sc.twist = twist
-        elif section == "hermitian":
-            rows = [
-                _parse_gaussian_list(value, ln, col)
-                for key, value, ln, col in entries
-                if key == "row"
-            ]
-            if not rows:
-                raise ScenarioError(f"[hermitian {name}] has no rows", *header)
-            if any(len(r) != len(rows) for r in rows):
-                raise ScenarioError(
-                    f"[hermitian {name}] rows do not form a square matrix",
-                    entries[0][2],
-                    1,
-                )
-            sc.hermitians[name] = tuple(rows)
-        elif section.startswith("task "):
-            task = section.removeprefix("task ")
-            sc.tasks[task] = _assemble_task(task, entries)
-
-
-def _assemble_task(task: str, entries) -> dict[str, object]:
-    out: dict[str, object] = {}
+def _read_section(sc: Scenario, section: str, label: str, entries, header):
+    """Parse each entry with its key's parser; return the values (a list
+    for a repeatable key) and where each key was given."""
+    keys = _SECTIONS[section]
+    values: dict[str, object] = {}
+    where: dict[str, tuple[int, int]] = {}
     for key, value, ln, col in entries:
-        if task == "hr-check":
-            if key == "dimension":
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    raise ScenarioError(f"bad dimension {value!r}", ln, col)
-            elif key == "reference":
-                out[key] = value
-            elif key == "combination":
-                out[key] = _parse_combination(value, ln, col)
-            elif key == "schur":
-                out[key] = _parse_partition(value, ln, col)
-            elif key == "forms":
-                out[key] = tuple(t.strip() for t in value.split(","))
-        elif task == "logconcave":
-            if key == "mu":
-                out[key] = _parse_partition(value, ln, col)
-            else:
-                out[key] = _parse_rational_list(value, ln, col)
-        elif task == "hi2":
-            out[key] = _parse_rational_list(value, ln, col)
-        elif task == "ring-eval":
-            if key == "schur":
-                out.setdefault("schur", []).append(_parse_partition(value, ln, col))
-            else:
-                if "/" not in value:
-                    raise ScenarioError(
-                        "derived entries look like 'partition / order'", ln, col
-                    )
-                part_text, order_text = value.rsplit("/", 1)
-                try:
-                    order = int(order_text.strip())
-                except ValueError:
-                    raise ScenarioError(f"bad derived order {order_text!r}", ln, col)
-                out.setdefault("derived", []).append(
-                    (_parse_partition(part_text, ln, col), order)
-                )
-    return out
+        parser, _, repeatable = keys[key]
+        try:
+            item = parser(value, sc.model)
+        except ValidationError as exc:
+            raise ScenarioError(str(exc), ln, col)
+        if repeatable:
+            values.setdefault(key, []).append(item)
+        else:
+            values[key] = item
+        where[key] = (ln, col)
+    for key, (_, required, _) in keys.items():
+        if required and key not in values:
+            raise ScenarioError(f"[{label}] needs {key!r}", *header)
+    return values, where
 
 
-def _parse_model_literal(value: str, ln: int, col: int) -> tuple:
-    """Parse the compact model literal ``proj(2,3)`` / ``abelian_square``."""
-    text = value.strip()
-    if text == "abelian_square":
-        return ("abelian_square",)
-    if text.startswith("proj(") and text.endswith(")"):
-        inner = text[len("proj(") : -1]
-        exps = []
-        for tok in inner.split(","):
-            tok = tok.strip()
-            if not tok.isdigit() or int(tok) < 1:
+def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
+    """Exactly one of 'combination' and 'schur' (with 'forms'), and every
+    form named is declared with the task's dimension."""
+    if ("combination" in task) == ("schur" in task):
+        raise ScenarioError(
+            "[task hr-check] needs exactly one of 'combination' or 'schur'", *header
+        )
+    if "schur" in task and "forms" not in task:
+        raise ScenarioError("'schur' needs a 'forms' list", *where["schur"])
+    combination = task.get("combination", ())
+    named = {
+        "reference": (task["reference"],),
+        "combination": [name for _, factors in combination for name, _ in factors],
+        "forms": task.get("forms", ()),
+    }
+    d = task["dimension"]
+    for key, names in named.items():
+        for name in names:
+            if name not in sc.forms:
+                raise ScenarioError(f"no [hermitian {name}] section declared", *where[key])
+            if sc.forms[name].dim != d:
                 raise ScenarioError(
-                    "proj(...) needs positive integer exponents", ln, col
+                    f"form {name!r} has size {sc.forms[name].dim}, not the dimension {d}",
+                    *where[key],
                 )
-            exps.append(int(tok))
-        if not exps:
-            raise ScenarioError("proj(...) needs at least one factor", ln, col)
-        return ("proj", tuple(exps))
-    raise ScenarioError(f"bad model literal {text!r}", ln, col)
-
-
-def _parse_partition(value: str, ln: int, col: int) -> Partition:
-    try:
-        return Partition.parse(value)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), ln, col)
-
-
-def _parse_combination(value: str, ln: int, col: int) -> tuple:
-    """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...)."""
-    text = value.replace("-", "+-")
-    terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        negative = chunk.startswith("-")
-        if negative:
-            chunk = chunk[1:].strip()
-        coeff = Fraction(1)
-        factors: list[tuple[str, int]] = []
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ScenarioError("empty factor in combination", ln, col)
-            if factor[0].isdigit():
-                try:
-                    coeff *= parse_rational(factor)
-                except ValidationError:
-                    raise ScenarioError(f"bad coefficient {factor!r}", ln, col)
-                continue
-            if "^" in factor:
-                name, _, power_text = factor.partition("^")
-                try:
-                    power = int(power_text)
-                except ValueError:
-                    raise ScenarioError(f"bad power {power_text!r}", ln, col)
-                if power < 0:
-                    raise ScenarioError("negative power in combination", ln, col)
-            else:
-                name, power = factor, 1
-            factors.append((name.strip(), power))
-        if negative:
-            coeff = -coeff
-        if not factors:
-            raise ScenarioError("combination term without a form name", ln, col)
-        terms.append((coeff, tuple(factors)))
-    if not terms:
-        raise ScenarioError("empty combination", ln, col)
-    return tuple(terms)

@@ -86,3 +86,33 @@ def test_traced_hr_check_reads_form_sizes_gram_bits_and_gaussian_count(tmp_path)
     assert result["forms.wedge.pairs"] > 0
     assert result["inertia.inertia_triple.entry_bits"] > 0
     assert result["gaussian.new"] >= 0
+
+
+def test_benchmark_inputs_keep_their_exit_codes(tmp_path, capsys):
+    # The benchmark's scenario files must still parse: every CLI verdict the
+    # generator writes for seed 1 exits with the code it expects.
+    import schurcert.cli
+
+    spec = importlib.util.spec_from_file_location("bench_gen", TRACER.parent / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    mismatched, ran = [], 0
+    for workload in gen.WORKLOADS:
+        workdir = tmp_path / workload
+        data = gen.generate(workload, 1, workdir)
+        for verdict in data["warmup"] + data["pool"]:
+            if verdict["kind"] != "cli":
+                continue
+            argv = [
+                str(workdir / a["file"]) if isinstance(a, dict) else a for a in verdict["argv"]
+            ]
+            try:
+                code = schurcert.cli.main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+            capsys.readouterr()
+            ran += 1
+            if code != verdict["expect"]["code"]:
+                mismatched.append((workload, verdict["id"], code))
+    assert ran > 0
+    assert mismatched == []

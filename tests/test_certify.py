@@ -123,7 +123,7 @@ class TestBlockForm:
 
 class TestQuarticNonneg:
     def test_spec_examples(self):
-        b = QPoly.x()
+        b = QPoly.of(0, 1)
         assert nonneg_on_reals(b * b)
         assert not nonneg_on_reals(b * b - QPoly.of(1))
         assert nonneg_on_reals(b * b * 3)
@@ -362,6 +362,6 @@ class TestHLFailureScan:
     def test_generic_pencil_api(self):
         first = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         second = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        scan = gram_pencil_scan(first, second, QPoly.x(), Fraction(1, 1000))
+        scan = gram_pencil_scan(first, second, QPoly.of(0, 1), Fraction(1, 1000))
         lo, hi = scan.interval
         assert lo < 1 <= hi or abs(hi - 1) < Fraction(1, 1000)

@@ -350,3 +350,48 @@ def test_chern_recurrence_runs_once_per_verdict(
     code, _, _ = run(capsys, [command, str(path)])
     assert code == 0
     assert len(calls) == 1
+
+
+HR_ONE = "[hermitian a]\nrow = 1\n\n[task hr-check]\ndimension = 1\nreference = a\n"
+RING_22 = (
+    "[model]\nmodel = proj(2,2)\n\n"
+    "[bundle]\nroot = 1,1\nroot = 2,1\nroot = 1,2\nroot = 3,2\nroot = 2,3\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("hr-check", HR_ONE + "combination = .5*a\n", "line 7, column 1"),
+        ("hr-check", HR_ONE + "combination = 2*a*b\n", "line 7, column 1"),
+        ("hr-check", HR_ONE.replace("reference = a", "reference = b") + "combination = a\n",
+         "line 6, column 1"),
+        ("hr-check", HR_ONE + "schur = 1\n  forms = a, b\n", "line 8, column 3"),
+        ("hr-check", HR_ONE.replace("dimension = 1\n", "") + "combination = a\n",
+         "line 4, column 1"),
+        ("logconcave", RING_22 + "  [task logconcave]\nmu = 5\n", "line 11, column 3"),
+        ("hi2", RING_22 + "[task hi2]\nh = 1,1\n", "line 11, column 1"),
+        ("logconcave", RING_22 + "[task logconcave]\nh = 1,1\n", "line 11, column 1"),
+        ("hi2", RING_22 + "[task hi2]\nh = 1,1,1\nalpha = 1,-1\n", "line 12, column 1"),
+        ("hr-check", HR_ONE.replace("dimension = 1", "dimension = 2") + "combination = a\n",
+         "line 6, column 1"),
+        ("hr-check",
+         REMARK_SCENARIO.format(a="7/2") + "\n[hermitian b]\nrow = 1, 2\nrow = 3, 4\n",
+         "line 19, column 1"),
+        # Another task's broken section refuses the whole file.
+        ("logconcave",
+         RING_22 + "[task logconcave]\nmu = 5\nh = 1,1\n\n[task hi2]\nh = 1,1\n",
+         "line 15, column 1"),
+    ],
+    ids=[
+        "float-coefficient", "combination-name", "reference-name", "forms-name",
+        "no-dimension", "no-h", "no-alpha", "no-mu", "h-length", "form-size",
+        "unreferenced-non-hermitian", "other-task-broken",
+    ],
+)
+def test_broken_scenario_names_its_line(capsys, tmp_path, command, text, where):
+    path = tmp_path / "broken.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert where in err

@@ -18,7 +18,7 @@ from schurcert.qpoly import (
 
 
 def test_arithmetic_basics():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = x * x - QPoly.of(1)
     assert p == QPoly.of(-1, 0, 1)
     assert p(2) == 3
@@ -42,7 +42,7 @@ def test_divmod_reconstructs():
 
 
 def test_gcd_and_squarefree():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(2))
     g = poly_gcd(p, p.derivative())
     assert g == QPoly.of(-1, 1)  # x - 1
@@ -50,14 +50,14 @@ def test_gcd_and_squarefree():
 
 
 def test_odd_multiplicity_part():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(3)) ** 3 * x
     odd = odd_multiplicity_part(p)
     assert odd == ((x + QPoly.of(3)) * x).primitive()
 
 
 def test_sturm_root_counts():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = x * x - QPoly.of(1)  # roots -1, 1
     assert count_real_roots(p) == 2
     assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
@@ -72,7 +72,7 @@ def test_sturm_root_counts():
 
 
 def test_sturm_chain_on_multiple_roots_uses_squarefree_part():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = (x - QPoly.of(2)) ** 3
     assert count_real_roots(p) == 1
     chain = sturm_chain(p)
@@ -80,7 +80,7 @@ def test_sturm_chain_on_multiple_roots_uses_squarefree_part():
 
 
 def test_isolation_width_and_membership():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = x * x - QPoly.of(2)  # sqrt(2) above 0
     lo, hi = isolate_real_root(p, Fraction(1, 10**6))
     assert hi - lo < Fraction(1, 10**6)
@@ -94,7 +94,7 @@ def test_isolation_width_and_membership():
 
 
 def test_nonneg_decisions():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     assert nonneg_on_reals(x * x)
     assert not nonneg_on_reals(x * x - QPoly.of(1))
     assert nonneg_on_reals(x * x * 3)
@@ -111,7 +111,7 @@ def test_nonneg_decisions():
 
 
 def test_cauchy_bound_contains_roots():
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = (x - QPoly.of(5)) * (x + QPoly.of(11)) * (x - QPoly.of(2))
     b = cauchy_root_bound(p)
     assert count_real_roots(p, -b, b) == 3
@@ -134,7 +134,7 @@ def chains_built(monkeypatch):
 
 
 def test_isolation_builds_one_sturm_chain(chains_built):
-    x = QPoly.x()
+    x = QPoly.of(0, 1)
     p = (x * x - QPoly.of(2)) * (x - QPoly.of(5)) ** 2
     for width in (Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**10)):
         chains_built.clear()

@@ -5,6 +5,7 @@ import pytest
 from schurcert.errors import ScenarioError
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
+from schurcert.rings import abelian_square, proj
 from schurcert.scenario import parse
 
 FULL = """
@@ -47,11 +48,12 @@ derived = 3 / 1
 
 def test_parse_full_scenario():
     sc = parse(FULL)
-    assert sc.model_spec == ("proj", (2, 3))
-    assert sc.roots == ((Fraction(1), Fraction(0)),) * 2 + ((Fraction(0), Fraction(1)),)
-    assert sc.twist == (Fraction(0), Fraction(0))
-    assert set(sc.hermitians) == {"omega1", "omega2"}
-    assert sc.hermitians["omega2"][0][1] == GaussianRational(0, 1)
+    assert sc.model == proj(2, 3)
+    x1, x2 = (sc.model.generator(i) for i in range(2))
+    assert sc.bundle.roots == (x1, x1, x2)
+    assert sc.bundle.twist == sc.model.zero(1)
+    assert set(sc.forms) == {"omega1", "omega2"}
+    assert sc.forms["omega2"].entries[0][1] == GaussianRational(0, 1)
     task = sc.tasks["hr-check"]
     assert task["dimension"] == 2
     assert task["reference"] == "omega1"
@@ -66,11 +68,9 @@ def test_parse_full_scenario():
 
 def test_materialization():
     sc = parse(FULL)
-    model = sc.model()
-    assert model.dimension == 5
-    bundle = sc.bundle(model)
-    assert bundle.rank == 3
-    h = sc.hermitian("omega2")
+    assert sc.model.dimension == 5
+    assert sc.bundle.rank == 3
+    h = sc.forms["omega2"]
     assert h.dim == 2
 
 
@@ -141,8 +141,8 @@ def test_bad_hermitian_matrix_rejected():
 def test_abelian_model_roundtrip():
     text = "[model]\nmodel = abelian_square\n"
     sc = parse(text)
-    assert sc.model_spec == ("abelian_square",)
-    assert sc.model().dimension == 4
+    assert sc.model == abelian_square()
+    assert sc.model.dimension == 4
 
 
 def test_combination_with_products_and_signs():
