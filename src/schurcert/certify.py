@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chernpoly import det_in_ring
-from .errors import HypothesisError, PreconditionError, ValidationError
+from .errors import HypothesisError, PreconditionError, ValidationError, exact_rational
 from .inertia import (
     inertia_triple,
     quadratic_value,
@@ -51,8 +51,8 @@ class HodgeIndexResult:
 
 def _proportionality_witness(v, h) -> Fraction | None:
     """kappa with v = kappa * h, or None."""
-    v = [Fraction(x) for x in v]
-    h = [Fraction(x) for x in h]
+    v = [exact_rational(x) for x in v]
+    h = [exact_rational(x) for x in h]
     if all(x == 0 for x in v):
         return Fraction(0)
     pivot = next((i for i, x in enumerate(h) if x != 0), None)
@@ -106,9 +106,9 @@ class BlockFormInstance:
     @classmethod
     def of(cls, q_v: Matrix, phi: Sequence, h: Sequence) -> "BlockFormInstance":
         return cls(
-            tuple(tuple(Fraction(x) for x in row) for row in q_v),
-            tuple(Fraction(x) for x in phi),
-            tuple(Fraction(x) for x in h),
+            tuple(tuple(exact_rational(x) for x in row) for row in q_v),
+            tuple(exact_rational(x) for x in phi),
+            tuple(exact_rational(x) for x in h),
         )
 
     @property
@@ -125,7 +125,7 @@ class BlockFormInstance:
         return out
 
     def phi_of(self, v: Sequence[Fraction]) -> Fraction:
-        return sum(a * Fraction(b) for a, b in zip(self.phi, v))
+        return sum(a * exact_rational(b) for a, b in zip(self.phi, v))
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def block_form_check(inst: BlockFormInstance, v: Sequence[Fraction]) -> BlockFor
         rhs=rhs,
         holds=lhs <= rhs,
         equality=lhs == rhs,
-        v_is_zero=all(Fraction(x) == 0 for x in v),
+        v_is_zero=all(x == 0 for x in v),
         kernel_inertia=inertia_triple(kernel_gram),
     )
 
@@ -189,7 +189,7 @@ class Nef2Coefficients:
     def of(cls, *values) -> "Nef2Coefficients":
         if len(values) != 6:
             raise ValidationError(f"expected 6 coefficients, got {len(values)}")
-        return cls(*(Fraction(v) for v in values))
+        return cls(*(exact_rational(v) for v in values))
 
     def to_class(self, model: RingModel) -> GradedClass:
         return GradedClass.from_monomials(
@@ -270,7 +270,7 @@ def discrete_logconcave(values: Sequence[Fraction]) -> bool:
     cross-multiplication, and re-verifies the equivalent full chord
     condition f(i)^(k-j) f(k)^(j-i) < f(j)^(k-i) for all i < j < k.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [exact_rational(v) for v in values]
     if any(v <= 0 for v in vals):
         raise ValidationError("log-concavity needs strictly positive values")
     if not _midpoint_strict(vals):
@@ -439,13 +439,13 @@ def gram_pencil_scan(
         raise ValidationError("pencil matrices must be square of equal size")
     entries = [
         [
-            QPoly.constant(Fraction(first[i][j])) + reparam * Fraction(second[i][j])
+            QPoly.constant(first[i][j]) + reparam * exact_rational(second[i][j])
             for j in range(n)
         ]
         for i in range(n)
     ]
     det_poly = det_in_ring(entries, QPoly.of(1))
-    interval = isolate_real_root(det_poly, width, Fraction(0))
+    interval = isolate_real_root(det_poly, width)
     return PencilScanResult(
         det_first=rational_det(first),
         det_second=rational_det(second),

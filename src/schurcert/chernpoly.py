@@ -20,9 +20,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, exact_rational
 from .partitions import Partition
-from .qpoly import _as_fraction
 
 # A monomial is a pair (cs, extras): `cs` is the sorted tuple of generator
 # indices (c_1*c_1*c_2 -> (1, 1, 2)), `extras` the exponent tuple of the
@@ -46,7 +45,7 @@ class ChernPoly:
         clean: dict[Monomial, Fraction] = {}
         grade = None
         for (cs, extras), coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = exact_rational(coeff)
             if coeff == 0:
                 continue
             if len(extras) != nextra:
@@ -81,7 +80,7 @@ class ChernPoly:
 
     @classmethod
     def const(cls, rank: int, value, nextra: int = 0) -> "ChernPoly":
-        value = _as_fraction(value)
+        value = exact_rational(value)
         if value == 0:
             return cls.zero(rank, nextra)
         return cls(rank, {((), (0,) * nextra): value}, nextra)
@@ -143,7 +142,7 @@ class ChernPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = exact_rational(other)
             if q == 0:
                 return ChernPoly.zero(self.rank, self.nextra)
             return ChernPoly(
@@ -183,16 +182,15 @@ class ChernPoly:
 
     # -- twist-variable plumbing ---------------------------------------
 
-    def twist_coefficient(self, power: int, slot: int = 0) -> "ChernPoly":
-        """Coefficient of (twist variable in `slot`)**power, dropping that slot."""
-        if not 0 <= slot < self.nextra:
-            raise ValidationError(f"twist slot {slot} out of range")
-        out: dict[Monomial, Fraction] = {}
-        for (cs, extras), coeff in self.terms.items():
-            if extras[slot] != power:
-                continue
-            rest = extras[:slot] + extras[slot + 1 :]
-            out[(cs, rest)] = coeff
+    def twist_coefficient(self, power: int) -> "ChernPoly":
+        """Coefficient of (first twist variable)**power, dropping that variable."""
+        if not self.nextra:
+            raise ValidationError("polynomial has no twist variable")
+        out = {
+            (cs, extras[1:]): coeff
+            for (cs, extras), coeff in self.terms.items()
+            if extras[0] == power
+        }
         return ChernPoly(self.rank, out, self.nextra - 1)
 
     # -- pretty printing ------------------------------------------------

@@ -14,11 +14,12 @@ Kaehler reference, the bidegree the pairing needs) are checked when the
 verdict is computed, and a failure exits 3.
 
 Output is fully computed before anything is printed, so validation errors
-never leave partial output behind.  ``ring-eval``, ``hr-check``, ``nef2``,
-``hi2``, ``logconcave`` and ``hl-scan`` always print one deterministic block
-of ``key=value`` lines.  ``--machine`` changes only ``schur``, which then
-prints ``polynomial=`` before the polynomial, and ``paper-repro``, which then
-prints ``example=``/``status=``/``overall=`` lines instead of ``PASS``/``FAIL``.
+never leave partial output behind.  Every subcommand prints one
+deterministic block of ``key=value`` lines: ``schur`` prints
+``polynomial=``, and ``paper-repro`` prints ``example=ID status=pass|fail``
+per example, ``detail=`` per failure and ``overall=pass|fail`` (``--list``
+prints ``ID: summary`` lines).  ``--machine`` is accepted and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ def _cmd_schur(args) -> list[str]:
         poly = schur(lam, args.rank)
     else:
         poly = derived_schur(lam, args.rank, args.derived)
-    if args.machine:
-        return [f"polynomial={format_poly(poly)}"]
-    return [format_poly(poly)]
+    return [f"polynomial={format_poly(poly)}"]
 
 
 def _cmd_ring_eval(args) -> list[str]:
@@ -195,26 +194,15 @@ def _cmd_paper_repro(args) -> tuple[list[str], int]:
         lines = [f"{ex.example_id}: {ex.summary}" for ex in examples]
         return lines, 0
     lines = []
-    failed = []
+    passed = True
     for ex in examples:
         outcome = ex.run()
-        if args.machine:
-            lines.append(f"example={ex.example_id} status={'pass' if outcome.ok else 'fail'}")
-        else:
-            lines.append(f"{'PASS' if outcome.ok else 'FAIL'} {ex.example_id}")
+        passed = passed and outcome.ok
+        lines.append(f"example={ex.example_id} status={'pass' if outcome.ok else 'fail'}")
         if not outcome.ok:
-            failed.append(ex.example_id)
-            for detail in outcome.details:
-                lines.append(f"  {detail}" if not args.machine else f"detail={detail}")
-    if args.machine:
-        lines.append(f"overall={'pass' if not failed else 'fail'}")
-    else:
-        lines.append(
-            "all examples passed"
-            if not failed
-            else "failing examples: " + ", ".join(failed)
-        )
-    return lines, 0 if not failed else 1
+            lines += [f"detail={detail}" for detail in outcome.details]
+    lines.append(f"overall={'pass' if passed else 'fail'}")
+    return lines, 0 if passed else 1
 
 
 # -- argument parsing -----------------------------------------------------
@@ -228,8 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--machine",
         action="store_true",
-        help="key=value output for schur and paper-repro "
-        "(the other subcommands always print key=value lines)",
+        help="accepted and ignored: every subcommand prints key=value lines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

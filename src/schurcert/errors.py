@@ -8,6 +8,8 @@ internal fault: the CLI lets it propagate instead of giving it an exit code.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class SchurCertError(Exception):
     """Base class for all package-specific errors."""
@@ -38,3 +40,13 @@ class HypothesisError(PreconditionError):
             message = f"{message} (inertia={inertia})"
         super().__init__(message)
         self.inertia = inertia
+
+
+def exact_rational(x) -> Fraction:
+    """``x`` as a Fraction if it is an int or a Fraction; anything else,
+    floats and strings included, raises ValidationError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")

@@ -31,7 +31,7 @@ from itertools import chain
 from typing import Sequence
 
 from .chernpoly import elementary_symmetric, evaluate, schur as schur_poly
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, exact_rational
 from .gaussian import GaussianRational
 from .inertia import InertiaReport, inertia, inertia_triple
 from .partitions import Partition
@@ -383,7 +383,7 @@ class HermitianOneOne:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "HermitianOneOne":
-        vals = [Fraction(v) for v in values]
+        vals = [exact_rational(v) for v in values]
         return cls(
             [
                 [vals[i] if i == j else Fraction(0) for j in range(len(vals))]

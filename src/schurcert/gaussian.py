@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, exact_rational
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _LITERAL = re.compile(rf"^\s*({_RAT})\s*(?:([+-]\s*\d+(?:/\d+)?)\s*i)?\s*$")
@@ -17,8 +17,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", exact_rational(re))
+        object.__setattr__(self, "im", exact_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

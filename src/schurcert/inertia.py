@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, exact_rational
 
 Matrix = Sequence[Sequence[Fraction]]
 
@@ -51,7 +51,7 @@ class InertiaReport:
 
 
 def _to_rows(matrix: Matrix) -> list[list[Fraction]]:
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[exact_rational(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValidationError("matrix is not square")
@@ -150,11 +150,11 @@ def quadratic_value(matrix: Matrix, v: Sequence[Fraction], w=None) -> Fraction:
         raise ValidationError("vector length does not match the matrix")
     total = Fraction(0)
     for i in range(n):
-        vi = Fraction(v[i])
+        vi = exact_rational(v[i])
         if vi == 0:
             continue
         row = matrix[i]
-        total += vi * sum(Fraction(row[j]) * Fraction(w[j]) for j in range(n))
+        total += vi * sum(exact_rational(row[j]) * exact_rational(w[j]) for j in range(n))
     return total
 
 
@@ -165,11 +165,14 @@ def congruent(matrix: Matrix, p: Matrix) -> list[list[Fraction]]:
         raise ValidationError("incompatible congruence matrix")
     k = len(p[0])
     mp = [
-        [sum(Fraction(matrix[i][j]) * Fraction(p[j][c]) for j in range(n)) for c in range(k)]
+        [
+            sum(exact_rational(matrix[i][j]) * exact_rational(p[j][c]) for j in range(n))
+            for c in range(k)
+        ]
         for i in range(n)
     ]
     return [
-        [sum(Fraction(p[j][r]) * mp[j][c] for j in range(n)) for c in range(k)]
+        [sum(exact_rational(p[j][r]) * mp[j][c] for j in range(n)) for c in range(k)]
         for r in range(k)
     ]
 
@@ -177,7 +180,7 @@ def congruent(matrix: Matrix, p: Matrix) -> list[list[Fraction]]:
 def kernel_basis(phi: Sequence[Fraction]) -> list[list[Fraction]]:
     """Basis of the kernel of a nonzero covector, as column vectors."""
     n = len(phi)
-    phi = [Fraction(x) for x in phi]
+    phi = [exact_rational(x) for x in phi]
     pivot = next((i for i, x in enumerate(phi) if x != 0), None)
     if pivot is None:
         raise ValidationError("covector is zero; kernel is everything")

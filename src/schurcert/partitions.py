@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -18,7 +18,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(parts)
+        if not all(isinstance(p, int) for p in ps):
+            raise ValidationError(f"partition parts must be integers: {ps}")
         if any(p < 0 for p in ps):
             raise ValidationError(f"partition parts must be nonnegative: {ps}")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
@@ -85,23 +87,3 @@ class Partition:
     def __repr__(self):
         return f"Partition({list(self.parts)!r})"
 
-
-def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``weight`` with parts bounded by ``max_part``."""
-    if weight < 0:
-        return
-    bound = weight if max_part is None else min(max_part, weight)
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            yield from rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    if weight == 0:
-        yield Partition(())
-        return
-    yield from rec(weight, bound, [])

@@ -12,15 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import ValidationError
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
+from .errors import ValidationError, exact_rational
 
 
 class QPoly:
@@ -29,7 +21,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [exact_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -86,7 +78,7 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = exact_rational(other)
             return QPoly([c * q for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -132,7 +124,7 @@ class QPoly:
         return QPoly(quo), QPoly(rem[:db])
 
     def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
+        x = exact_rational(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -276,28 +268,23 @@ def cauchy_root_bound(p: QPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
-def isolate_real_root(
-    p: QPoly, width: Fraction, lower: Fraction = Fraction(0)
-) -> tuple[Fraction, Fraction]:
-    """Interval of length < ``width`` around the smallest root above ``lower``.
+def isolate_real_root(p: QPoly, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Interval of length < ``width`` around the smallest positive root.
 
     Bisects with Sturm counts until the bracket is narrower than ``width``
     and contains exactly one root of the square-free part.  Raises if no
-    root lies above ``lower``.
+    root lies above 0.
     """
-    if width <= 0:
+    if exact_rational(width) <= 0:
         raise ValidationError("isolation width must be positive")
     # One chain serves every count: the roots in (lo, hi] number
     # v(lo) - v(hi), and each bisection step evaluates the chain once.
     # Its head is the square-free part, which bounds the roots.
     chain = sturm_chain(p)
-    hi = cauchy_root_bound(chain[0])
-    if hi <= lower:
-        hi = lower + 1
-    lo = lower
+    lo, hi = Fraction(0), cauchy_root_bound(chain[0])  # the bound is at least 1
     v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
     if v_lo == v_hi:
-        raise ValidationError(f"no real root above {lower}")
+        raise ValidationError("no real root above 0")
     while hi - lo >= width or v_lo - v_hi != 1:
         mid = (lo + hi) / 2
         v_mid = _variations_at(chain, mid)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .chernpoly import ChernPoly, elementary_symmetric, evaluate, format_terms
 from .chernpoly import derived_schur as derived_poly, schur as schur_poly
-from .errors import ValidationError
+from .errors import ValidationError, exact_rational
 from .partitions import Partition
 
 Monomial = tuple[int, ...]
@@ -104,7 +104,7 @@ class RingModel:
             raise ValidationError(
                 f"expected {len(self.gen_names)} coefficients, got {len(coeffs)}"
             )
-        return GradedClass(self, 1, tuple(Fraction(c) for c in coeffs))
+        return GradedClass(self, 1, coeffs)
 
     def generator(self, index: int) -> "GradedClass":
         coeffs = [Fraction(0)] * len(self.gen_names)
@@ -114,7 +114,9 @@ class RingModel:
 
 def proj(*exponents: int) -> RingModel:
     """Cohomology-model ring of a product of projective spaces."""
-    exps = tuple(int(n) for n in exponents)
+    exps = tuple(exponents)
+    if not all(isinstance(n, int) for n in exps):
+        raise ValidationError(f"factor dimensions must be integers: {exps}")
     if not exps or any(n < 1 for n in exps):
         raise ValidationError(f"factor dimensions must be positive: {exps}")
     names = tuple(f"x{i + 1}" for i in range(len(exps)))
@@ -135,7 +137,7 @@ class GradedClass:
 
     def __init__(self, model: RingModel, grade: int, coeffs: Sequence[Fraction]):
         basis = model.basis(grade)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(exact_rational, coeffs))
         if len(cs) != len(basis):
             raise ValidationError(
                 f"grade-{grade} class needs {len(basis)} coefficients, got {len(cs)}"
@@ -156,7 +158,7 @@ class GradedClass:
         for mono, c in entries.items():
             if mono not in index:
                 raise ValidationError(f"monomial {mono} not in the grade-{grade} basis")
-            coeffs[index[mono]] += Fraction(c)
+            coeffs[index[mono]] += exact_rational(c)
         return cls(model, grade, coeffs)
 
     def monomials(self) -> dict[Monomial, Fraction]:
@@ -197,14 +199,10 @@ class GradedClass:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return GradedClass(
-                self.model, self.grade, tuple(c * q for c in self.coeffs)
-            )
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        return multiply(self, other)
+        if isinstance(other, GradedClass):
+            return multiply(self, other)
+        q = exact_rational(other)
+        return GradedClass(self.model, self.grade, tuple(c * q for c in self.coeffs))
 
     __rmul__ = __mul__
 

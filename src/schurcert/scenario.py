@@ -24,10 +24,13 @@ rejected in every literal, the coefficients of a ``combination`` included.
 
 ``parse`` checks and resolves the whole file in one pass.  It builds the
 model, the bundle and every ``[hermitian]`` section, whether a task refers
-to it or not; each form name in ``reference``, ``forms`` or a
-``combination`` must name a declared section whose size is the task's
-``dimension``, and each vector (``root``, ``twist``, ``h``, ``alpha``) must
-have one entry per model generator.  Every defect raises a
+to it or not.  A section's name must be an identifier; each form name in
+``reference``, ``forms`` or a ``combination`` must name a declared section
+whose size is the task's ``dimension``; each vector (``root``, ``twist``,
+``h``, ``alpha``) must have one entry per model generator.  No part of a
+``ring-eval`` partition may exceed the bundle's rank, nor of an
+``hr-check`` ``schur`` partition the number of ``forms``, and a derived
+order lies in ``0..|partition|``.  Every defect raises a
 ``ScenarioError`` carrying the line and column of the key at fault, or of
 the section header when the whole section is (a missing required key, a
 matrix that is not Hermitian).
@@ -134,7 +137,10 @@ def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
         order = int(order_text.strip())
     except ValueError:
         raise ValidationError(f"bad derived order {order_text!r}")
-    return Partition.parse(part_text), order
+    mu = Partition.parse(part_text)
+    if not 0 <= order <= mu.weight:
+        raise ValidationError(f"derived order {order} out of range 0..{mu.weight}")
+    return mu, order
 
 
 def _combination(value: str, model: RingModel | None) -> tuple:
@@ -232,6 +238,10 @@ def parse(text: str) -> Scenario:
             if kind == "hermitian":
                 if name is None:
                     raise ScenarioError("[hermitian] needs a name", lineno, col)
+                if not name.isidentifier():
+                    raise ScenarioError(
+                        f"form name {name!r} is not an identifier", lineno, col
+                    )
                 canonical = "hermitian"
             elif kind == "task":
                 if name is None:
@@ -293,16 +303,21 @@ def _assemble(raw, headers) -> Scenario:
                 _check_hr_forms(sc, values, where, header)
             elif sc.bundle is None:  # every other task reads the bundle
                 raise ScenarioError(f"[{label}] needs a [bundle] section", *header)
+            elif section == "task ring-eval":
+                for lam, at in zip(values.get("schur", ()), where.get("schur", ())):
+                    _fits_rank(lam, sc.bundle.rank, at)
+                for (mu, _), at in zip(values.get("derived", ()), where.get("derived", ())):
+                    _fits_rank(mu, sc.bundle.rank, at)
             sc.tasks[name] = values
     return sc
 
 
 def _read_section(sc: Scenario, section: str, label: str, entries, header):
-    """Parse each entry with its key's parser; return the values (a list
-    for a repeatable key) and where each key was given."""
+    """Parse each entry with its key's parser; return the values and
+    where each was given, both a list for a repeatable key."""
     keys = _SECTIONS[section]
     values: dict[str, object] = {}
-    where: dict[str, tuple[int, int]] = {}
+    where: dict[str, object] = {}
     for key, value, ln, col in entries:
         parser, _, repeatable = keys[key]
         try:
@@ -311,9 +326,10 @@ def _read_section(sc: Scenario, section: str, label: str, entries, header):
             raise ScenarioError(str(exc), ln, col)
         if repeatable:
             values.setdefault(key, []).append(item)
+            where.setdefault(key, []).append((ln, col))
         else:
             values[key] = item
-        where[key] = (ln, col)
+            where[key] = (ln, col)
     for key, (_, required, _) in keys.items():
         if required and key not in values:
             raise ScenarioError(f"[{label}] needs {key!r}", *header)
@@ -327,8 +343,10 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
         raise ScenarioError(
             "[task hr-check] needs exactly one of 'combination' or 'schur'", *header
         )
-    if "schur" in task and "forms" not in task:
-        raise ScenarioError("'schur' needs a 'forms' list", *where["schur"])
+    if "schur" in task:
+        if "forms" not in task:
+            raise ScenarioError("'schur' needs a 'forms' list", *where["schur"])
+        _fits_rank(task["schur"], len(task["forms"]), where["schur"])
     combination = task.get("combination", ())
     named = {
         "reference": (task["reference"],),
@@ -345,3 +363,11 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
                     f"form {name!r} has size {sc.forms[name].dim}, not the dimension {d}",
                     *where[key],
                 )
+
+
+def _fits_rank(lam: Partition, rank: int, at: tuple[int, int]) -> None:
+    """No part of ``lam`` exceeds ``rank``; else an error at ``at``."""
+    try:
+        lam.require_rank(rank)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc), *at)

@@ -477,3 +477,24 @@ def congruence_diagonal_oracle(matrix) -> tuple[list[Fraction], int]:
 @pytest.fixture
 def gaussian():
     return GaussianRational
+
+
+def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partition]:
+    """All partitions of ``weight`` with parts bounded by ``max_part``."""
+    if weight < 0:
+        return
+    bound = weight if max_part is None else min(max_part, weight)
+
+    def rec(remaining: int, cap: int, prefix: list[int]):
+        if remaining == 0:
+            yield Partition(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            yield from rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    if weight == 0:
+        yield Partition(())
+        return
+    yield from rec(weight, bound, [])

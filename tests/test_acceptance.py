@@ -9,7 +9,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import promote, schur_bialternant_oracle, substitute, twist_var
+from conftest import partitions_of, promote, schur_bialternant_oracle, substitute, twist_var
 from instances import (
     random_ample_bundle,
     random_ample_class,
@@ -41,7 +41,7 @@ from schurcert.forms import (
     wedge,
 )
 from schurcert.inertia import inertia, inertia_triple
-from schurcert.partitions import Partition, partitions_of
+from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
 from schurcert.repro import _low_degree_identity_table
 from schurcert.rings import (

@@ -1,8 +1,10 @@
-"""The benchmark tracer names program functions; renaming one breaks ``--trace 1``.
+"""The benchmark runs program code; these tests keep the two in step.
 
-``bench/tracer.py`` is loaded by path and only read: every entry of its
-``TARGETS`` table must still name a callable in ``schurcert.<layer>``, and
-the sizes it reads off arguments and results must still be there.
+``bench/*.py`` is loaded by path and only read.  Every entry of the
+tracer's ``TARGETS`` table must still name a callable in
+``schurcert.<layer>``, the sizes it reads off arguments and results must
+still be there, and every seed-1 verdict must still match the committed
+reference (``--trace 1`` and the pass ratio depend on these).
 """
 
 import importlib
@@ -13,13 +15,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_targets_resolve():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench("tracer")
     missing = [
         f"schurcert.{layer}.{func}"
         for layer, funcs in tracer.TARGETS.items()
@@ -88,31 +96,23 @@ def test_traced_hr_check_reads_form_sizes_gram_bits_and_gaussian_count(tmp_path)
     assert result["gaussian.new"] >= 0
 
 
-def test_benchmark_inputs_keep_their_exit_codes(tmp_path, capsys):
-    # The benchmark's scenario files must still parse: every CLI verdict the
-    # generator writes for seed 1 exits with the code it expects.
-    import schurcert.cli
-
-    spec = importlib.util.spec_from_file_location("bench_gen", TRACER.parent / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    mismatched, ran = [], 0
+def test_benchmark_seed_1_references_hold(tmp_path):
+    # Every seed-1 verdict, API ones included, run the way the benchmark's
+    # worker runs it, passes the benchmark's own check against the committed
+    # reference: exit code and every stdout line.
+    gen, checks, worker = (_load_bench(name) for name in ("gen", "checks", "worker"))
+    runner = worker.Runner()
+    failures, ran = [], 0
     for workload in gen.WORKLOADS:
         workdir = tmp_path / workload
-        data = gen.generate(workload, 1, workdir)
+        data = json.loads(json.dumps(gen.generate(workload, 1, workdir)))
+        reference = checks.load_reference(workload, 1)
         for verdict in data["warmup"] + data["pool"]:
-            if verdict["kind"] != "cli":
-                continue
-            argv = [
-                str(workdir / a["file"]) if isinstance(a, dict) else a for a in verdict["argv"]
-            ]
-            try:
-                code = schurcert.cli.main(argv)
-            except SystemExit as exc:  # argparse refusals
-                code = exc.code
-            capsys.readouterr()
+            code, lines = runner.run(worker._prepare(verdict, workdir))
+            expected = reference.get(verdict["id"], checks.MISSING)
+            reason = checks.check(verdict, code, lines, expected)
             ran += 1
-            if code != verdict["expect"]["code"]:
-                mismatched.append((workload, verdict["id"], code))
+            if reason is not None:
+                failures.append((workload, verdict["id"], reason))
     assert ran > 0
-    assert mismatched == []
+    assert failures == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    partitions_of,
     promote,
     schur_bialternant_oracle,
     segre_derived,
@@ -24,7 +25,7 @@ from schurcert.chernpoly import (
     schur,
 )
 from schurcert.errors import ValidationError
-from schurcert.partitions import Partition, partitions_of
+from schurcert.partitions import Partition
 
 
 def c(k, e):

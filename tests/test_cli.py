@@ -39,17 +39,17 @@ def run(capsys, argv):
 class TestSchurCommand:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, ["schur", "2,1", "--rank", "3"])
-        assert code == 0 and out.strip() == "c1*c2 - c3"
+        assert code == 0 and out.strip() == "polynomial=c1*c2 - c3"
 
     def test_derived(self, capsys):
         code, out, _ = run(
             capsys, ["schur", "1,1,1", "--rank", "3", "--derived", "2"]
         )
-        assert code == 0 and out.strip() == "10*c1"
+        assert code == 0 and out.strip() == "polynomial=10*c1"
 
     def test_zero_partition(self, capsys):
         code, out, _ = run(capsys, ["schur", "0", "--rank", "5"])
-        assert code == 0 and out.strip() == "1"
+        assert code == 0 and out.strip() == "polynomial=1"
 
     def test_validation_exit_code(self, capsys):
         code, out, err = run(capsys, ["schur", "4,1", "--rank", "3"])
@@ -259,8 +259,8 @@ class TestPaperRepro:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, ["paper-repro"])
         assert code == 0
-        assert out.count("PASS") == 6
-        assert "all examples passed" in out
+        assert out.count("status=pass") == 6
+        assert out.splitlines()[-1] == "overall=pass"
 
     def test_machine_output(self, capsys):
         code, out, _ = run(capsys, ["--machine", "paper-repro"])
@@ -286,8 +286,9 @@ class TestPaperRepro:
         )
         code, out, _ = run(capsys, ["paper-repro"])
         assert code == 1
-        assert "FAIL boundary-class-gram" in out
-        assert "FAIL quad-integral-table" in out
+        assert "example=boundary-class-gram status=fail" in out
+        assert "example=quad-integral-table status=fail" in out
+        assert out.splitlines()[-1] == "overall=fail"
 
     def test_seed_flag_and_section_are_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -299,7 +300,7 @@ class TestPaperRepro:
 
 
 class TestSingleRendering:
-    """Verdict subcommands print the same key=value block with or without --machine."""
+    """Every subcommand prints the same key=value block with or without --machine."""
 
     @pytest.mark.parametrize(
         "command",
@@ -309,6 +310,8 @@ class TestSingleRendering:
             ["hi2", "{ring}"],
             ["logconcave", "{ring}"],
             ["hl-scan"],
+            ["schur", "2,1", "--rank", "3"],
+            ["paper-repro"],
         ],
         ids=lambda command: command[0],
     )
@@ -357,6 +360,8 @@ RING_22 = (
     "[model]\nmodel = proj(2,2)\n\n"
     "[bundle]\nroot = 1,1\nroot = 2,1\nroot = 1,2\nroot = 3,2\nroot = 2,3\n\n"
 )
+RANK_2 = "[model]\nmodel = proj(2,2)\n\n[bundle]\nroot = 1,1\nroot = 2,1\n\n"
+HR_TWO = "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 1\n\n"
 
 
 @pytest.mark.parametrize(
@@ -382,11 +387,23 @@ RING_22 = (
         ("logconcave",
          RING_22 + "[task logconcave]\nmu = 5\nh = 1,1\n\n[task hi2]\nh = 1,1\n",
          "line 15, column 1"),
+        # A repeated key's error names its own entry, not the last one.
+        ("ring-eval", RANK_2 + "[task ring-eval]\nschur = 3\nschur = 1\n", "line 9, column 1"),
+        ("ring-eval", RANK_2 + "[task ring-eval]\nderived = 2 / 1\n  derived = 1 / 5\n",
+         "line 10, column 3"),
+        ("hr-check",
+         HR_TWO + "[task hr-check]\ndimension = 1\nreference = a\nschur = 3\nforms = a, b\n",
+         "line 10, column 1"),
+        ("hr-check",
+         "  [hermitian w-1]\nrow = 1\n\n"
+         "[task hr-check]\ndimension = 1\nreference = w-1\ncombination = w-1^0\n",
+         "line 1, column 3"),
     ],
     ids=[
         "float-coefficient", "combination-name", "reference-name", "forms-name",
         "no-dimension", "no-h", "no-alpha", "no-mu", "h-length", "form-size",
-        "unreferenced-non-hermitian", "other-task-broken",
+        "unreferenced-non-hermitian", "other-task-broken", "ring-eval-partition-rank",
+        "derived-order", "hr-check-partition-rank", "form-name-not-identifier",
     ],
 )
 def test_broken_scenario_names_its_line(capsys, tmp_path, command, text, where):

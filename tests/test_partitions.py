@@ -1,10 +1,10 @@
 import pytest
-from conftest import padded
+from conftest import padded, partitions_of
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schurcert.errors import ValidationError
-from schurcert.partitions import Partition, partitions_of
+from schurcert.partitions import Partition
 
 
 def test_trailing_zeros_are_stripped():

@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import chern_by_subsets, schur_class_ssyt_oracle
+from conftest import chern_by_subsets, partitions_of, schur_class_ssyt_oracle
 from instances import random_ample_bundle, random_ample_class, rng_for
 
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
 from schurcert.inertia import inertia_triple
-from schurcert.partitions import Partition, partitions_of
+from schurcert.partitions import Partition
 from schurcert.rings import (
     GradedClass,
     SplitBundle,
