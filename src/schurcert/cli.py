@@ -103,10 +103,10 @@ def _hr_form(sc: Scenario, task: dict) -> PQForm:
         for coeff, factors in task["combination"]:
             term = PQForm.one(d) * coeff
             for name, power in factors:
-                term = wedge(term, sc.forms[name].to_form() ** power)
+                term = wedge(term, sc.forms[name] ** power)
             omega = term if omega is None else omega + term
     else:
-        omegas = [sc.forms[name].to_form() for name in task["forms"]]
+        omegas = [sc.forms[name] for name in task["forms"]]
         omega = schur_form(task["schur"], omegas)
     if (omega.p, omega.q) != (d - 2, d - 2):
         raise PreconditionError(

@@ -8,8 +8,10 @@ hr-check at d=8 takes about 0.7 s):
 
 A form keeps its coefficients as Gaussian-integer numerators over one
 denominator (see :class:`PQForm`), so wedge products, sums, top integrals
-and Gram entries are integer arithmetic; ``GaussianRational`` appears only
-where forms meet caller data.
+and Gram entries are integer arithmetic.  ``GaussianRational`` appears only
+where forms meet caller data: the coefficients and matrix entries that the
+constructors (``hermitian_form`` among them) and scalar multiplication
+take, and the values of ``coefficient`` and ``wedge_top_coefficient``.
 
 Conventions, validated by tests before anything is built on them:
 
@@ -45,6 +47,11 @@ Pair = tuple[int, int]  # Gaussian integer re + im*i
 # d=7 and 0.66 s at d=8 on one core of a 2-vCPU Xeon host.  d >= 9 is
 # refused: no test or benchmark covers it yet.
 MAX_DIM = 8
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1 or dim > MAX_DIM:
+        raise ValidationError(f"dimension {dim} out of the supported range 1..{MAX_DIM}")
 
 
 def _above_parity(mask: int, dim: int) -> int:
@@ -87,10 +94,7 @@ class PQForm:
     __slots__ = ("dim", "p", "q", "coeffs", "den")
 
     def __init__(self, dim: int, p: int, q: int, coeffs: dict[Key, GaussianRational]):
-        if dim < 1 or dim > MAX_DIM:
-            raise ValidationError(
-                f"dimension {dim} out of the supported range 1..{MAX_DIM}"
-            )
+        _check_dim(dim)
         if p < 0 or q < 0:
             raise ValidationError("negative bidegree")
         full = (1 << dim) - 1
@@ -312,24 +316,24 @@ def wedge_top_coefficient(a: PQForm, b: PQForm) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
-@lru_cache(maxsize=None)
-def _volume_coefficient(dim: int) -> GaussianRational:
-    """Coefficient of dz_{1..d} dzbar_{1..d} in prod_j (i dz_j dzbar_j)."""
-    vol = PQForm.one(dim)
-    for j in range(1, dim + 1):
-        vol = wedge(vol, PQForm.dz_dzbar(dim, j, j, GaussianRational.i()))
-    full = (1 << dim) - 1
-    return vol.coefficient((full, full))
+def _volume_unit(dim: int) -> Pair:
+    """The coefficient of dz_{1..d} dzbar_{1..d} in prod_j (i dz_j dzbar_j).
+
+    Moving every dz_j to the front past the dzbar's before it takes
+    d(d-1)/2 transpositions, so the coefficient is
+    i^d (-1)^(d(d-1)/2) = i^(d^2): 1 for even d, i for odd d.
+    """
+    return (0, 1) if dim & 1 else (1, 0)
 
 
-def _real_over_volume(top: Pair, den: int, vol: tuple[int, int, int], fault: str) -> Fraction:
-    """``(re + im*i) / den`` divided by the volume coefficient ``vol``
-    (as numerators); the quotient must be real, else ``fault`` is raised."""
+def _real_over_volume(top: Pair, den: int, dim: int, fault: str) -> Fraction:
+    """``(re + im*i) / den`` divided by the volume unit of ``dim``; the
+    quotient must be real, else ``fault`` is raised."""
     re, im = top
-    vr, vi, vd = vol
+    vr, vi = _volume_unit(dim)
     if im * vr != re * vi:
         raise RuntimeError(fault)
-    return Fraction((re * vr + im * vi) * vd, den * (vr * vr + vi * vi))
+    return Fraction(re * vr + im * vi, den)
 
 
 def integrate_top(omega: PQForm) -> Fraction:
@@ -349,84 +353,62 @@ def integrate_top(omega: PQForm) -> Fraction:
     return _real_over_volume(
         omega.coeffs.get((full, full), (0, 0)),
         omega.den,
-        _numerators(_volume_coefficient(omega.dim)),
+        omega.dim,
         "internal: real form integrated to a non-real value",
     )
 
 
-class HermitianOneOne:
-    """A d x d Hermitian matrix, embedded as the real (1,1)-form i H_jk dz_j dzbar_k."""
+def hermitian_form(rows: Sequence[Sequence]) -> PQForm:
+    """The real (1,1)-form i sum_jk H_jk dz_j dzbar_k of a Hermitian matrix H.
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(
-            tuple(GaussianRational.coerce(x) for x in row) for row in entries
-        )
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValidationError("Hermitian matrix must be square and nonempty")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i].conj():
-                    raise ValidationError(
-                        f"matrix is not conjugate-symmetric at ({i},{j})"
-                    )
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianOneOne is immutable")
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOneOne":
-        return cls.diagonal([Fraction(1)] * dim)
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "HermitianOneOne":
-        vals = [exact_rational(v) for v in values]
-        return cls(
-            [
-                [vals[i] if i == j else Fraction(0) for j in range(len(vals))]
-                for i in range(len(vals))
-            ]
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def to_form(self) -> PQForm:
-        d = self.dim
-        coeffs: dict[Key, GaussianRational] = {}
-        i_unit = GaussianRational.i()
-        for j in range(d):
-            for k in range(d):
-                c = self.entries[j][k]
-                if not c.is_zero():
-                    coeffs[(1 << j, 1 << k)] = i_unit * c
-        return PQForm(d, 1, 1, coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, HermitianOneOne) and self.entries == other.entries
-
-    __hash__ = None
-
-
-def kahler_check(h: HermitianOneOne) -> bool:
-    """Positive definiteness of H = A + iB, decided exactly by inertia.
-
-    H is positive definite iff the real symmetric matrix [[A, -B], [B, A]],
-    whose spectrum is that of H with every eigenvalue doubled, is.
+    The form is real exactly when H is Hermitian.  A matrix that is not
+    square, larger than MAX_DIM or not conjugate-symmetric (the first bad
+    entry ``(j,k)`` is named) raises ValidationError.
     """
-    n = h.dim
-    rows = [
-        [h.entries[i][j].re for j in range(n)] + [-h.entries[i][j].im for j in range(n)]
-        for i in range(n)
-    ]
-    rows += [
-        [h.entries[i][j].im for j in range(n)] + [h.entries[i][j].re for j in range(n)]
-        for i in range(n)
-    ]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValidationError("Hermitian matrix must be square and nonempty")
+    _check_dim(n)
+    parts = [[_numerators(GaussianRational.coerce(x)) for x in row] for row in rows]
+    den = math.lcm(*(d for row in parts for _, _, d in row))
+    h = [[(re * (den // d), im * (den // d)) for re, im, d in row] for row in parts]
+    for j in range(n):
+        for k in range(n):
+            re, im = h[k][j]
+            if h[j][k] != (re, -im):
+                raise ValidationError(f"matrix is not conjugate-symmetric at ({j},{k})")
+    nums = {
+        (1 << j, 1 << k): (-im, re)
+        for j, row in enumerate(h)
+        for k, (re, im) in enumerate(row)
+    }
+    return PQForm._from_numerators(n, 1, 1, nums, den)
+
+
+def diagonal_form(values: Sequence) -> PQForm:
+    """The real (1,1)-form i sum_j v_j dz_j dzbar_j of rational ``values``."""
+    vals = [exact_rational(v) for v in values]
+    return hermitian_form(
+        [[v if j == k else 0 for k in range(len(vals))] for j, v in enumerate(vals)]
+    )
+
+
+def kahler_check(omega: PQForm) -> bool:
+    """Positive definiteness of the Hermitian H = A + iB with omega = i H dz dzbar.
+
+    omega must be a real (1,1)-form.  H is positive definite iff the real
+    symmetric matrix [[A, -B], [B, A]], whose spectrum is that of H with
+    every eigenvalue doubled, is; it is built from the integer numerators,
+    which are H scaled by den > 0.
+    """
+    if (omega.p, omega.q) != (1, 1) or not omega.is_real():
+        raise ValidationError("the Kaehler test needs a real (1,1)-form")
+    n = omega.dim
+    # The coefficient (re + im*i) / den of dz_j dzbar_k is i H_jk, so
+    # den * H_jk = im - re*i: den * A_jk = im and den * B_jk = -re.
+    h = [[omega.coeffs.get((1 << j, 1 << k), (0, 0)) for k in range(n)] for j in range(n)]
+    rows = [[im for re, im in row] + [re for re, im in row] for row in h]
+    rows += [[-re for re, im in row] + [im for re, im in row] for row in h]
     return inertia_triple(rows) == (2 * n, 0, 0)
 
 
@@ -488,7 +470,6 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
     if not omega.is_real():
         raise PreconditionError("Hodge-Riemann pairing of a non-real form")
     basis = real_oneone_basis(d)
-    vol = _numerators(_volume_coefficient(d))
     mids = [wedge(b, omega) for b in basis]
     n = len(basis)
     gram = [[Fraction(0)] * n for _ in range(n)]
@@ -497,7 +478,7 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
             val = _real_over_volume(
                 _top_numerators(mids[i], basis[j]),
                 mids[i].den * basis[j].den,
-                vol,
+                d,
                 "internal: non-real Gram entry",
             )
             gram[i][j] = val
@@ -505,20 +486,19 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
     return gram
 
 
-def hodge_riemann_verdict(omega: PQForm, reference: HermitianOneOne) -> InertiaReport:
+def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> InertiaReport:
     """Full inertia of the (1,1) pairing of omega, plus the HR/HL verdict.
 
     The reference form must be Kaehler (positive definite); the verdict is
     HR iff integral(omega wedge ref^2) > 0 and the inertia is
     (1, 0, d^2 - 1), and HL iff the pairing is nondegenerate.
     """
-    if not kahler_check(reference):
-        raise PreconditionError("reference form is not Kaehler (not positive definite)")
     d = omega.dim
     if reference.dim != d:
         raise ValidationError("reference form has the wrong dimension")
-    ref = reference.to_form()
-    positivity = integrate_top(wedge(wedge(omega, ref), ref))
+    if not kahler_check(reference):
+        raise PreconditionError("reference form is not Kaehler (not positive definite)")
+    positivity = integrate_top(wedge(wedge(omega, reference), reference))
     rep = inertia(hr_gram(omega))
     return replace(
         rep,

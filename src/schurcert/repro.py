@@ -14,7 +14,7 @@ from typing import Callable
 
 from .certify import Nef2Coefficients, hl_failure_scan, nef2_membership
 from .chernpoly import ChernPoly, derived_schur, schur
-from .forms import HermitianOneOne, hodge_riemann_verdict, wedge
+from .forms import diagonal_form, hodge_riemann_verdict, wedge
 from .inertia import inertia
 from .partitions import Partition
 from .rings import (
@@ -49,10 +49,9 @@ def _check(failures: list[str], ok: bool, label: str) -> None:
 
 def _signature_family() -> ReproOutcome:
     """Inertia of the two-square pencil on the 16-dim real (1,1) space."""
-    w1 = HermitianOneOne.identity(4)
-    w2 = HermitianOneOne.diagonal([Fraction(1, 7), Fraction(1, 7), 2, 2])
-    f1, f2 = w1.to_form(), w2.to_form()
-    sq1, sq2 = wedge(f1, f1), wedge(f2, f2)
+    w1 = diagonal_form([1, 1, 1, 1])
+    w2 = diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2])
+    sq1, sq2 = wedge(w1, w1), wedge(w2, w2)
     expected = {
         Fraction(0): (1, 0, 15),
         Fraction(1): (1, 0, 15),

@@ -10,7 +10,8 @@ Grammar (exercised in ``tests/test_scenario.py``)::
 
 Sections: ``[model]`` holds ``model = proj(n1,...,nk)`` or ``model =
 abelian_square``; ``[bundle]`` one or more ``root`` vectors and at most one
-``twist``; ``[hermitian NAME]`` the ``row``s of a Hermitian matrix.  Tasks
+``twist``; ``[hermitian NAME]`` the ``row``s of a Hermitian matrix H of
+size at most 8, built into the real (1,1)-form i sum H_jk dz_j dzbar_k.  Tasks
 and their required keys: ``[task hr-check]`` needs ``dimension``,
 ``reference`` and exactly one of ``combination`` and ``schur``, and
 ``schur`` needs ``forms``; ``[task logconcave]`` needs ``mu`` and ``h``;
@@ -30,7 +31,9 @@ whose size is the task's ``dimension``; each vector (``root``, ``twist``,
 ``h``, ``alpha``) must have one entry per model generator.  No part of a
 ``ring-eval`` partition may exceed the bundle's rank, nor of an
 ``hr-check`` ``schur`` partition the number of ``forms``, and a derived
-order lies in ``0..|partition|``.  Every defect raises a
+order lies in ``0..|partition|``.  A ``logconcave`` ``mu`` weighs the
+bundle's rank, and an ``hr-check`` ``schur`` partition at most the
+``dimension``.  Every defect raises a
 ``ScenarioError`` carrying the line and column of the key at fault, or of
 the section header when the whole section is (a missing required key, a
 matrix that is not Hermitian).
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ScenarioError, ValidationError
-from .forms import HermitianOneOne
+from .forms import PQForm, hermitian_form
 from .gaussian import GaussianRational
 from .partitions import Partition
 from .rings import GradedClass, RingModel, SplitBundle, abelian_square, proj
@@ -54,7 +57,7 @@ class Scenario:
 
     model: RingModel | None = None
     bundle: SplitBundle | None = None
-    forms: dict[str, HermitianOneOne] = field(default_factory=dict)
+    forms: dict[str, PQForm] = field(default_factory=dict)
     tasks: dict[str, dict[str, object]] = field(default_factory=dict)
 
 
@@ -295,7 +298,7 @@ def _assemble(raw, headers) -> Scenario:
             sc.bundle = SplitBundle(sc.model, values["root"], values.get("twist"))
         elif section == "hermitian":
             try:
-                sc.forms[name] = HermitianOneOne(values["row"])
+                sc.forms[name] = hermitian_form(values["row"])
             except ValidationError as exc:
                 raise ScenarioError(f"[{label}]: {exc}", *header)
         else:
@@ -308,6 +311,13 @@ def _assemble(raw, headers) -> Scenario:
                     _fits_rank(lam, sc.bundle.rank, at)
                 for (mu, _), at in zip(values.get("derived", ()), where.get("derived", ())):
                     _fits_rank(mu, sc.bundle.rank, at)
+            elif section == "task logconcave":
+                mu, rank = values["mu"], sc.bundle.rank
+                if mu.weight != rank:
+                    raise ScenarioError(
+                        f"partition weight {mu.weight} must equal the rank {rank}",
+                        *where["mu"],
+                    )
             sc.tasks[name] = values
     return sc
 
@@ -339,6 +349,7 @@ def _read_section(sc: Scenario, section: str, label: str, entries, header):
 def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
     """Exactly one of 'combination' and 'schur' (with 'forms'), and every
     form named is declared with the task's dimension."""
+    d = task["dimension"]
     if ("combination" in task) == ("schur" in task):
         raise ScenarioError(
             "[task hr-check] needs exactly one of 'combination' or 'schur'", *header
@@ -346,14 +357,19 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
     if "schur" in task:
         if "forms" not in task:
             raise ScenarioError("'schur' needs a 'forms' list", *where["schur"])
-        _fits_rank(task["schur"], len(task["forms"]), where["schur"])
+        lam = task["schur"]
+        _fits_rank(lam, len(task["forms"]), where["schur"])
+        if lam.weight > d:
+            raise ScenarioError(
+                f"Schur form of weight {lam.weight} vanishes beyond dimension {d}",
+                *where["schur"],
+            )
     combination = task.get("combination", ())
     named = {
         "reference": (task["reference"],),
         "combination": [name for _, factors in combination for name, _ in factors],
         "forms": task.get("forms", ()),
     }
-    d = task["dimension"]
     for key, names in named.items():
         for name in names:
             if name not in sc.forms:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from schurcert.certify import BlockFormInstance
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
-from schurcert.forms import HermitianOneOne
+from schurcert.forms import PQForm, hermitian_form
 from schurcert.gaussian import GaussianRational
 from schurcert.inertia import congruent
 from schurcert.rings import GradedClass, RingModel, SplitBundle
@@ -135,8 +135,8 @@ def random_vector(rng: random.Random, n: int, hi: int = 5) -> list[Fraction]:
     return [Fraction(rng.randint(-hi, hi)) for _ in range(n)]
 
 
-def random_pd_hermitian(rng: random.Random, dim: int) -> HermitianOneOne:
-    """Positive definite B* B + I for a random Gaussian-rational B."""
+def random_pd_hermitian(rng: random.Random, dim: int) -> PQForm:
+    """The Kaehler form of B* B + I for a random Gaussian-rational B."""
     b = [
         [
             GaussianRational(
@@ -156,7 +156,7 @@ def random_pd_hermitian(rng: random.Random, dim: int) -> HermitianOneOne:
         ]
         for i in range(dim)
     ]
-    return HermitianOneOne(entries)
+    return hermitian_form(entries)
 
 
 def random_symmetric_matrix(rng: random.Random, n: int, hi: int = 4) -> list[list[Fraction]]:

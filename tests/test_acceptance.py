@@ -35,7 +35,7 @@ from schurcert.chernpoly import (
     schur,
 )
 from schurcert.forms import (
-    HermitianOneOne,
+    diagonal_form,
     hodge_riemann_verdict,
     schur_form,
     wedge,
@@ -66,10 +66,10 @@ def _verdict(cid: str, failures: list[str]) -> None:
 
 def test_criterion_01_signature_family():
     failures = []
-    w1 = HermitianOneOne.identity(4)
-    w2 = HermitianOneOne.diagonal([Fraction(1, 7), Fraction(1, 7), 2, 2])
-    sq1 = wedge(w1.to_form(), w1.to_form())
-    sq2 = wedge(w2.to_form(), w2.to_form())
+    w1 = diagonal_form([1, 1, 1, 1])
+    w2 = diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2])
+    sq1 = wedge(w1, w1)
+    sq2 = wedge(w2, w2)
     for a in (Fraction(0), Fraction(1), Fraction(2), Fraction(9, 2), Fraction(100)):
         rep = hodge_riemann_verdict(sq1 + sq2 * a, w1)
         if rep.triple != (1, 0, 15):
@@ -196,9 +196,7 @@ def test_criterion_07_pair_chain_hodge_riemann():
             rng = rng_for(MASTER_SEED + d, i)
             w1 = random_pd_hermitian(rng, d)
             w2 = random_pd_hermitian(rng, d)
-            omega = schur_form(
-                Partition([1] * (d - 2)), [w1.to_form(), w2.to_form()]
-            )
+            omega = schur_form(Partition([1] * (d - 2)), [w1, w2])
             rep = hodge_riemann_verdict(omega, w1)
             if not rep.hr_flag:
                 failures.append(f"d={d} instance {i}: verdict {rep.triple}")
@@ -344,8 +342,8 @@ def test_criterion_11_factorization_and_kt_recovery():
     for d in (3, 4, 5):
         for i in range(25):
             rng = rng_for(MASTER_SEED * 13 + d, i)
-            w1 = random_pd_hermitian(rng, d).to_form()
-            w2 = random_pd_hermitian(rng, d).to_form()
+            w1 = random_pd_hermitian(rng, d)
+            w2 = random_pd_hermitian(rng, d)
             chain = schur_form(Partition([1] * (d - 2)), [w1, w2])
             if w1 ** (d - 1) - w2 ** (d - 1) != wedge(w1 - w2, chain):
                 failures.append(f"factorization fails at d={d}, instance {i}")

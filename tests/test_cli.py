@@ -7,7 +7,6 @@ import schurcert.rings as rings
 from schurcert.cli import main
 from schurcert.errors import ScenarioError
 from schurcert.forms import PQForm
-from schurcert.gaussian import GaussianRational
 from schurcert.scenario import parse
 
 REMARK_SCENARIO = """
@@ -88,7 +87,7 @@ class TestHrCheck:
     def test_internal_fault_propagates(self, tmp_path, monkeypatch):
         # A non-real volume unit makes every top integral non-real: an
         # arithmetic fault of the program, not malformed input (exit 2).
-        monkeypatch.setattr(forms, "_volume_coefficient", lambda dim: GaussianRational(0, 1))
+        monkeypatch.setattr(forms, "_volume_unit", lambda dim: (0, 1))
         with pytest.raises(RuntimeError, match="internal: real form"):
             main(["hr-check", self.write(tmp_path, "0")])
         with pytest.raises(RuntimeError, match="internal: non-real Gram entry"):
@@ -151,7 +150,7 @@ class TestHrCheck:
         assert code == 0 and "hr=true" in out
 
     def test_dimension_above_limit_exits_2(self, capsys, tmp_path):
-        # Forms above dimension 8 are refused before any wedge is formed.
+        # A matrix above size 8 is refused at its section header.
         d = 9
         rows = "".join(
             "row = " + ", ".join("1" if i == j else "0" for j in range(d)) + "\n"
@@ -165,6 +164,7 @@ class TestHrCheck:
         code, out, err = run(capsys, ["hr-check", str(path)])
         assert code == 2 and out == ""
         assert "dimension 9 out of the supported range 1..8" in err
+        assert "line 1, column 1" in err
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         path = self.write(tmp_path, "13/4")

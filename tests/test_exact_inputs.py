@@ -16,7 +16,7 @@ from schurcert.certify import (
     hodge_index_check,
 )
 from schurcert.errors import ValidationError
-from schurcert.forms import HermitianOneOne
+from schurcert.forms import diagonal_form, hermitian_form
 from schurcert.gaussian import GaussianRational
 from schurcert.inertia import congruent, inertia_triple, kernel_basis, quadratic_value
 from schurcert.partitions import Partition
@@ -41,7 +41,8 @@ ENTRIES = {
     "from_monomials": lambda x: GradedClass.from_monomials(P11, 1, {(1, 0): x}),
     "GradedClass-scalar": lambda x: P11.generator(0) * x,
     "GaussianRational": lambda x: GaussianRational(x),
-    "HermitianOneOne.diagonal": lambda x: HermitianOneOne.diagonal([x, 3]),
+    "hermitian_form": lambda x: hermitian_form([[x, 0], [0, 3]]),
+    "diagonal_form": lambda x: diagonal_form([x, 3]),
     "BlockFormInstance.of": lambda x: BlockFormInstance.of([[1]], [x], [1]),
     "Nef2Coefficients.of": lambda x: Nef2Coefficients.of(0, x, 0, 0, 0, 3),
     "discrete_logconcave": lambda x: discrete_logconcave([x, 1, HALF]),

@@ -9,8 +9,9 @@ from instances import random_pd_hermitian, rng_for
 from schurcert.chernpoly import elementary_symmetric
 from schurcert.errors import PreconditionError, ValidationError
 from schurcert.forms import (
-    HermitianOneOne,
     PQForm,
+    diagonal_form,
+    hermitian_form,
     hodge_riemann_verdict,
     hr_gram,
     integrate_top,
@@ -130,8 +131,7 @@ class TestReality:
     def test_hermitian_embedding_is_real(self):
         rng = random.Random(6)
         for d in (2, 3, 4):
-            h = random_pd_hermitian(rng, d)
-            assert h.to_form().is_real()
+            assert random_pd_hermitian(rng, d).is_real()
 
     def test_conj_is_involution(self):
         rng = random.Random(13)
@@ -141,20 +141,20 @@ class TestReality:
 
     def test_products_of_real_forms_are_real(self):
         rng = random.Random(14)
-        w1 = random_pd_hermitian(rng, 4).to_form()
-        w2 = random_pd_hermitian(rng, 4).to_form()
+        w1 = random_pd_hermitian(rng, 4)
+        w2 = random_pd_hermitian(rng, 4)
         assert wedge(w1, w2).is_real()
         assert wedge(wedge(w1, w1), wedge(w2, w2)).is_real()
 
 
 class TestIntegrateTop:
     def test_standard_form_squared(self):
-        omega = HermitianOneOne.identity(2).to_form()
+        omega = diagonal_form([1, 1])
         assert integrate_top(wedge(omega, omega)) == 2
 
     def test_diagonal_power(self):
         vals = [Fraction(2), Fraction(1, 3), Fraction(5)]
-        omega = HermitianOneOne.diagonal(vals).to_form()
+        omega = diagonal_form(vals)
         power = wedge(wedge(omega, omega), omega)
         assert integrate_top(power) == 6 * Fraction(2) * Fraction(1, 3) * 5
 
@@ -179,21 +179,42 @@ class TestIntegrateTop:
 
 class TestKahlerCheck:
     def test_identity(self):
-        assert kahler_check(HermitianOneOne.identity(3))
+        assert kahler_check(diagonal_form([1, 1, 1]))
 
     def test_paper_diagonal(self):
-        h = HermitianOneOne.diagonal([Fraction(1, 7), Fraction(1, 7), 2, 2])
-        assert kahler_check(h)
+        assert kahler_check(diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2]))
 
     def test_indefinite(self):
-        assert not kahler_check(HermitianOneOne.diagonal([1, -1]))
-        assert not kahler_check(HermitianOneOne.diagonal([0, 1]))
+        assert not kahler_check(diagonal_form([1, -1]))
+        assert not kahler_check(diagonal_form([0, 1]))
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            HermitianOneOne([[GaussianRational(0, 1)]])
-        with pytest.raises(ValidationError):
-            HermitianOneOne([[1, 2], [3, 1]])
+        with pytest.raises(ValidationError, match=r"at \(0,0\)"):
+            hermitian_form([[GaussianRational(0, 1)]])
+        with pytest.raises(ValidationError, match=r"at \(0,1\)"):
+            hermitian_form([[1, 2], [3, 1]])
+        with pytest.raises(ValidationError, match=r"at \(1,2\)"):
+            i = GaussianRational.i()
+            hermitian_form([[1, 0, 0], [0, 1, i], [0, i, 1]])
+        with pytest.raises(ValidationError, match="square"):
+            hermitian_form([[1, 0], [0]])
+
+    def test_hermitian_form_coefficients(self):
+        # i H_jk dz_j dzbar_k, coefficient by coefficient.
+        h = [[Fraction(1, 3), GaussianRational(1, 2)], [GaussianRational(1, -2), 5]]
+        form = hermitian_form(h)
+        for j in range(2):
+            for k in range(2):
+                assert form.coefficient((1 << j, 1 << k)) == GaussianRational.i() * h[j][k]
+
+    @pytest.mark.parametrize(
+        "form",
+        [PQForm.one(2), PQForm.dz_dzbar(2, 1, 1, 1), PQForm.zero(2, 2, 2)],
+        ids=["bidegree-0-0", "not-real", "bidegree-2-2"],
+    )
+    def test_refuses_a_form_that_is_not_real_oneone(self, form):
+        with pytest.raises(ValidationError, match="real \\(1,1\\)-form"):
+            kahler_check(form)
 
     def test_pd_with_complex_entries(self):
         rng = random.Random(77)
@@ -233,16 +254,16 @@ class TestKahlerCheck:
                     ]
                     for i in range(d)
                 ]
-                h = HermitianOneOne(entries)
-                assert any(not x.is_real() for row in h.entries for x in row)
-                assert kahler_check(h) == positive_definite_by_minors(h.entries)
+                assert any(not x.is_real() for row in entries for x in row)
+                h = hermitian_form(entries)
+                assert kahler_check(h) == positive_definite_by_minors(entries)
                 assert kahler_check(h) == definite
 
 
 class TestSchurForm:
     def test_single_box_is_sum(self):
         rng = random.Random(10)
-        ws = [random_pd_hermitian(rng, 3).to_form() for _ in range(3)]
+        ws = [random_pd_hermitian(rng, 3) for _ in range(3)]
         total = ws[0] + ws[1] + ws[2]
         assert schur_form(Partition([1]), ws) == total
 
@@ -250,8 +271,8 @@ class TestSchurForm:
         # (1)^(d-2) of a pair is the alternating power sum.
         d = 4
         rng = random.Random(11)
-        w1 = random_pd_hermitian(rng, d).to_form()
-        w2 = random_pd_hermitian(rng, d).to_form()
+        w1 = random_pd_hermitian(rng, d)
+        w2 = random_pd_hermitian(rng, d)
         got = schur_form(Partition([1] * (d - 2)), [w1, w2])
         expected = wedge(w1, w1) + wedge(w1, w2) + wedge(w2, w2)
         assert got == expected
@@ -259,22 +280,22 @@ class TestSchurForm:
     def test_two_row_of_diagonal_pair(self):
         # c_2 = w1 ^ w2 for two diagonal forms; cross-check by expansion.
         d = 3
-        w1 = HermitianOneOne.diagonal([1, 2, 3]).to_form()
-        w2 = HermitianOneOne.diagonal([5, 1, 1]).to_form()
+        w1 = diagonal_form([1, 2, 3])
+        w2 = diagonal_form([5, 1, 1])
         got = schur_form(Partition([2]), [w1, w2])
         assert got == wedge(w1, w2)
 
     def test_equal_tuple_reduces_to_binomials(self):
         # With all forms equal, e_k = binom(e, k) w^k.
         d = 4
-        w = HermitianOneOne.diagonal([1, 2, 1, 1]).to_form()
+        w = diagonal_form([1, 2, 1, 1])
         es = elementary_symmetric([w, w, w], PQForm.one(d))
         assert es[1] == w * 3
         assert es[2] == wedge(w, w) * 3
         assert es[3] == wedge(wedge(w, w), w)
 
     def test_validation(self):
-        w = HermitianOneOne.identity(3).to_form()
+        w = diagonal_form([1, 1, 1])
         with pytest.raises(ValidationError):
             schur_form(Partition([2]), [w])  # part exceeds number of forms
         with pytest.raises(ValidationError):
@@ -287,7 +308,7 @@ class TestHrGram:
         assert inertia_triple(gram) == (1, 0, 3)
 
     def test_dim4_standard_square(self):
-        omega = HermitianOneOne.identity(4).to_form()
+        omega = diagonal_form([1, 1, 1, 1])
         gram = hr_gram(wedge(omega, omega))
         assert inertia_triple(gram) == (1, 0, 15)
 
@@ -307,10 +328,10 @@ class TestHrGram:
 
 class TestVerdicts:
     def test_signature_family_endpoints(self):
-        w1 = HermitianOneOne.identity(4)
-        w2 = HermitianOneOne.diagonal([Fraction(1, 7), Fraction(1, 7), 2, 2])
-        sq1 = wedge(w1.to_form(), w1.to_form())
-        sq2 = wedge(w2.to_form(), w2.to_form())
+        w1 = diagonal_form([1, 1, 1, 1])
+        w2 = diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2])
+        sq1 = wedge(w1, w1)
+        sq2 = wedge(w2, w2)
         rep = hodge_riemann_verdict(sq1 + sq2 * Fraction(7, 2), w1)
         assert rep.triple == (2, 0, 14) and not rep.hr_flag and rep.hl_flag
         rep = hodge_riemann_verdict(sq1 + sq2 * 3, w1)
@@ -322,7 +343,13 @@ class TestVerdicts:
     def test_non_kahler_reference_rejected(self):
         omega = PQForm.one(2)
         with pytest.raises(PreconditionError):
-            hodge_riemann_verdict(omega, HermitianOneOne.diagonal([1, -1]))
+            hodge_riemann_verdict(omega, diagonal_form([1, -1]))
+
+    def test_reference_dimension_checked_before_kahler_test(self):
+        # A wrong-sized reference is malformed input (exit 2), even when
+        # it is not Kaehler either.
+        with pytest.raises(ValidationError, match="wrong dimension"):
+            hodge_riemann_verdict(PQForm.one(2), diagonal_form([1, -1, 1]))
 
     def test_pair_chain_property(self):
         # The alternating chain of a Kaehler pair passes the full verdict.
@@ -330,7 +357,7 @@ class TestVerdicts:
             rng = rng_for(2718, d)
             w1 = random_pd_hermitian(rng, d)
             w2 = random_pd_hermitian(rng, d)
-            omega = schur_form(Partition([1] * (d - 2)), [w1.to_form(), w2.to_form()])
+            omega = schur_form(Partition([1] * (d - 2)), [w1, w2])
             rep = hodge_riemann_verdict(omega, w1)
             assert rep.hr_flag
 
@@ -338,8 +365,8 @@ class TestVerdicts:
         # w1^(d-1) - w2^(d-1) == (w1 - w2) ^ sum_j w1^(d-2-j) w2^j, exactly.
         for d in (3, 4, 5):
             rng = rng_for(314, d)
-            w1 = random_pd_hermitian(rng, d).to_form()
-            w2 = random_pd_hermitian(rng, d).to_form()
+            w1 = random_pd_hermitian(rng, d)
+            w2 = random_pd_hermitian(rng, d)
             chain = schur_form(Partition([1] * (d - 2)), [w1, w2])
             lhs = w1 ** (d - 1) - w2 ** (d - 1)
             rhs = wedge(w1 - w2, chain)

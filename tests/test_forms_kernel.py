@@ -11,13 +11,15 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import GaussianForm, hr_gram_oracle, integrate_top_oracle
+from conftest import GaussianForm, _volume_oracle, hr_gram_oracle, integrate_top_oracle
 from instances import random_pd_hermitian, rng_for
 from test_acceptance import MASTER_SEED
 
 from schurcert.chernpoly import elementary_symmetric, evaluate, schur
 from schurcert.forms import (
+    MAX_DIM,
     PQForm,
+    _volume_unit,
     hr_gram,
     integrate_top,
     real_oneone_basis,
@@ -36,13 +38,19 @@ def oracle_schur_form(lam: Partition, forms: list[GaussianForm]) -> GaussianForm
     return evaluate(schur(lam, len(forms)), elementary_symmetric(forms, one), one)
 
 
+def test_volume_unit_matches_the_oracle_wedge():
+    # The closed form i^(d^2) against the d-fold wedge of i dz_j dzbar_j.
+    for d in range(1, MAX_DIM + 1):
+        assert GaussianRational(*_volume_unit(d)) == _volume_oracle(d)
+
+
 def test_criterion_07_forms_and_grams_match_oracle():
     for d in (3, 4, 5):
         basis = [GaussianForm.of(b) for b in real_oneone_basis(d)]
         for i in range(25):
             rng = rng_for(MASTER_SEED + d, i)
-            w1 = random_pd_hermitian(rng, d).to_form()
-            w2 = random_pd_hermitian(rng, d).to_form()
+            w1 = random_pd_hermitian(rng, d)
+            w2 = random_pd_hermitian(rng, d)
             lam = Partition([1] * (d - 2))
             omega = schur_form(lam, [w1, w2])
             oracle = oracle_schur_form(lam, [GaussianForm.of(w1), GaussianForm.of(w2)])
@@ -59,8 +67,8 @@ def test_criterion_11_forms_match_oracle():
     for d in (3, 4, 5):
         for i in range(25):
             rng = rng_for(MASTER_SEED * 13 + d, i)
-            w1 = random_pd_hermitian(rng, d).to_form()
-            w2 = random_pd_hermitian(rng, d).to_form()
+            w1 = random_pd_hermitian(rng, d)
+            w2 = random_pd_hermitian(rng, d)
             o1, o2 = GaussianForm.of(w1), GaussianForm.of(w2)
             lam = Partition([1] * (d - 2))
             chain = schur_form(lam, [w1, w2])

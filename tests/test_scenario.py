@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from schurcert.errors import ScenarioError
+from schurcert.forms import hermitian_form
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
 from schurcert.rings import abelian_square, proj
@@ -33,7 +34,7 @@ reference = omega1
 combination = omega1^2 + 7/2*omega2^2
 
 [task logconcave]
-mu = 5
+mu = 2,1
 h = 1,1
 
 [task hi2]
@@ -53,7 +54,9 @@ def test_parse_full_scenario():
     assert sc.bundle.roots == (x1, x1, x2)
     assert sc.bundle.twist == sc.model.zero(1)
     assert set(sc.forms) == {"omega1", "omega2"}
-    assert sc.forms["omega2"].entries[0][1] == GaussianRational(0, 1)
+    assert sc.forms["omega2"] == hermitian_form(
+        [[Fraction(1, 7), GaussianRational(0, 1)], [GaussianRational(0, -1), 2]]
+    )
     task = sc.tasks["hr-check"]
     assert task["dimension"] == 2
     assert task["reference"] == "omega1"
@@ -61,7 +64,7 @@ def test_parse_full_scenario():
         (Fraction(1), (("omega1", 2),)),
         (Fraction(7, 2), (("omega2", 2),)),
     )
-    assert sc.tasks["logconcave"]["mu"] == Partition([5])
+    assert sc.tasks["logconcave"]["mu"] == Partition([2, 1])
     assert sc.tasks["ring-eval"]["schur"] == [Partition([2, 1])]
     assert sc.tasks["ring-eval"]["derived"] == [(Partition([3]), 1)]
 
@@ -136,6 +139,29 @@ def test_bad_hermitian_matrix_rejected():
         parse("[hermitian h]\nrow = 1, 2\nrow = 3\n")
     with pytest.raises(ScenarioError):
         parse("[hermitian]\nrow = 1\n")
+
+
+def test_logconcave_mu_weight_must_equal_the_rank():
+    text = (
+        "[model]\nmodel = proj(2,2)\n\n"
+        "[bundle]\nroot = 1,1\nroot = 2,1\nroot = 1,2\nroot = 3,2\nroot = 2,3\n\n"
+        "[task logconcave]\nh = 1,1\n  mu = 4\n"
+    )
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (13, 3)
+    assert "partition weight 4 must equal the rank 5" in str(exc.value)
+
+
+def test_hr_check_schur_weight_at_most_the_dimension():
+    text = (
+        "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 2\n\n"
+        "[task hr-check]\ndimension = 1\nreference = a\nforms = a, b\n  schur = 1,1\n"
+    )
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (11, 3)
+    assert "weight 2 vanishes beyond dimension 1" in str(exc.value)
 
 
 def test_abelian_model_roundtrip():
