@@ -305,12 +305,20 @@ class LogConcavityReport:
     counterexamples: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _powers(x: GradedClass, n: int) -> list[GradedClass]:
+    """``[x^0, ..., x^n]`` by a running product."""
+    powers = [x.model.one()]
+    for _ in range(n):
+        powers.append(multiply(powers[-1], x))
+    return powers
+
+
 def _require_ample(bundle: SplitBundle, h: GradedClass) -> None:
     if bundle.model.name != "proj":
         raise PreconditionError("ampleness criterion needs a projective-product model")
     if not bundle.is_ample():
         raise PreconditionError("bundle fails the positivity (ampleness) criterion")
-    if h.grade != 1 or not all(c > 0 for c in h.coeffs):
+    if h.grade != 1 or not all(n > 0 for n in h.nums):
         raise PreconditionError("reference class is not ample (positive degree-1)")
 
 
@@ -332,10 +340,11 @@ def schur_logconcavity_report(
         raise ValidationError(f"partition weight {mu.weight} must equal the rank {e}")
     mu.require_rank(e)
     _require_ample(bundle, h)
+    h_powers = _powers(h, d)
     values = []
     for i in range(d + 1):
         cls = derived_schur_class(bundle, mu, e - i)
-        values.append(integrate(multiply(cls, h ** (d - i))))
+        values.append(integrate(multiply(cls, h_powers[d - i])))
     positive = all(v > 0 for v in values)
     counterexamples = tuple(
         f"f({i})={v} is not positive" for i, v in enumerate(values) if v <= 0
@@ -364,7 +373,8 @@ def khovanskii_teissier_sequence(
     if alpha.grade != 1 or beta.grade != 1:
         raise ValidationError("need degree-1 classes")
     d = alpha.model.dimension
-    return [integrate(multiply(alpha**i, beta ** (d - i))) for i in range(d + 1)]
+    a_powers, b_powers = _powers(alpha, d), _powers(beta, d)
+    return [integrate(multiply(a_powers[i], b_powers[d - i])) for i in range(d + 1)]
 
 
 # -- the two-Chern-class Hodge-Index inequality ---------------------------

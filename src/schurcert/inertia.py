@@ -50,8 +50,9 @@ class InertiaReport:
         return f"({self.n_plus},{self.n_zero},{self.n_minus})"
 
 
-def _to_rows(matrix: Matrix) -> list[list[Fraction]]:
-    rows = [[exact_rational(x) for x in row] for row in matrix]
+def _to_rows(matrix: Matrix) -> list[list[Fraction | int]]:
+    """The entries as ints or Fractions; an int passes through unchanged."""
+    rows = [[x if type(x) is int else exact_rational(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValidationError("matrix is not square")

@@ -20,12 +20,26 @@ classes are all evaluated at that one Chern vector.
 
 Classes are homogeneous by construction; mixed grades are unrepresentable
 and cross-grade addition is rejected.  All coefficients are exact
-rationals.
+rationals, stored as integer numerators ``nums`` (one per basis monomial)
+over one denominator ``den > 0`` in lowest terms: ``gcd(den, *nums) == 1``,
+and the zero class has ``den == 1``.  Equal classes therefore have equal
+``(nums, den)``.  ``coeffs`` gives the same coefficients as ``Fraction``s.
+
+Products add monomial codes.  Generator i gets the digit base
+``2 * cap_i + 1`` and a monomial the mixed-radix code
+``sum_i e_i * w_i`` with ``w_i`` the product of the earlier bases.  Two
+monomials within the caps have digit sums ``e_i + e'_i <= 2 * cap_i``,
+below the base, so adding their codes never carries: ``code(m) + code(m')``
+is the code of the digit-wise sum, which is ``code(m * m')``, and it is the
+code of a basis monomial exactly when ``m * m'`` survives.  ``multiply``
+looks each sum up in the target grade's ``code -> position`` table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -63,6 +77,7 @@ class RingModel:
     top_integrals: Mapping[Monomial, Fraction] = field(compare=False)
     _bases: dict = field(default_factory=dict, init=False, compare=False)
     _indices: dict = field(default_factory=dict, init=False, compare=False)
+    _codes: dict = field(default_factory=dict, init=False, compare=False)
 
     def __repr__(self):
         if self.name == "proj":
@@ -87,16 +102,25 @@ class RingModel:
             self._indices[grade] = {m: i for i, m in enumerate(self.basis(grade))}
         return self._indices[grade]
 
-    def integral_of_monomial(self, expo: Monomial) -> Fraction:
-        return self.top_integrals.get(expo, 0)
+    def codes(self, grade: int) -> tuple[tuple[int, ...], dict[int, int]]:
+        """Code of each basis monomial of the grade, and the position of
+        each code (see the module docstring for the code-sum rule)."""
+        if grade not in self._codes:
+            bases = (2 * n + 1 for n in self.caps[:-1])
+            weights = tuple(itertools.accumulate(bases, operator.mul, initial=1))
+            codes = tuple(
+                sum(e * w for e, w in zip(mono, weights)) for mono in self.basis(grade)
+            )
+            self._codes[grade] = (codes, {c: i for i, c in enumerate(codes)})
+        return self._codes[grade]
 
     # -- class constructors -------------------------------------------
 
     def zero(self, grade: int) -> "GradedClass":
-        return GradedClass(self, grade, (Fraction(0),) * len(self.basis(grade)))
+        return _raw(self, grade, (0,) * len(self.basis(grade)), 1)
 
     def one(self) -> "GradedClass":
-        return GradedClass(self, 0, (Fraction(1),))
+        return _raw(self, 0, (1,), 1)
 
     def degree_one(self, coeffs: Sequence) -> "GradedClass":
         """Degree-1 class from coefficients in the documented basis order."""
@@ -107,8 +131,8 @@ class RingModel:
         return GradedClass(self, 1, coeffs)
 
     def generator(self, index: int) -> "GradedClass":
-        coeffs = [Fraction(0)] * len(self.gen_names)
-        coeffs[index] = Fraction(1)
+        coeffs = [0] * len(self.gen_names)
+        coeffs[index] = 1
         return self.degree_one(coeffs)
 
 
@@ -130,10 +154,13 @@ def abelian_square() -> RingModel:
     )
 
 
-class GradedClass:
-    """Element of a single grade of a ring model."""
+_set = object.__setattr__
 
-    __slots__ = ("model", "grade", "coeffs")
+
+class GradedClass:
+    """Element of a single grade of a ring model: ``nums / den``."""
+
+    __slots__ = ("model", "grade", "nums", "den")
 
     def __init__(self, model: RingModel, grade: int, coeffs: Sequence[Fraction]):
         basis = model.basis(grade)
@@ -142,9 +169,14 @@ class GradedClass:
             raise ValidationError(
                 f"grade-{grade} class needs {len(basis)} coefficients, got {len(cs)}"
             )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", cs)
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already in lowest terms.
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        _set(self, "model", model)
+        _set(self, "grade", grade)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -161,21 +193,26 @@ class GradedClass:
             coeffs[index[mono]] += exact_rational(c)
         return cls(model, grade, coeffs)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in basis order, as ``Fraction``s."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def monomials(self) -> dict[Monomial, Fraction]:
         return {
-            mono: c
-            for mono, c in zip(self.model.basis(self.grade), self.coeffs)
-            if c != 0
+            mono: Fraction(n, self.den)
+            for mono, n in zip(self.model.basis(self.grade), self.nums)
+            if n
         }
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def _check_model(self, other: "GradedClass") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ValidationError("classes live on different models")
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
@@ -186,14 +223,16 @@ class GradedClass:
             raise ValidationError(
                 f"cannot add classes of grades {self.grade} and {other.grade}"
             )
-        return GradedClass(
-            self.model,
-            self.grade,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        if self.den == other.den:
+            nums = [x + y for x, y in zip(self.nums, other.nums)]
+            return _raw(self.model, self.grade, nums, self.den)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
+        return _raw(self.model, self.grade, nums, den)
 
     def __neg__(self):
-        return GradedClass(self.model, self.grade, tuple(-c for c in self.coeffs))
+        return _raw(self.model, self.grade, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -202,7 +241,10 @@ class GradedClass:
         if isinstance(other, GradedClass):
             return multiply(self, other)
         q = exact_rational(other)
-        return GradedClass(self.model, self.grade, tuple(c * q for c in self.coeffs))
+        p = q.numerator
+        return _raw(
+            self.model, self.grade, [n * p for n in self.nums], self.den * q.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -219,7 +261,8 @@ class GradedClass:
             isinstance(other, GradedClass)
             and self.model == other.model
             and self.grade == other.grade
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     __hash__ = None
@@ -229,6 +272,20 @@ class GradedClass:
 
     def __repr__(self):
         return f"GradedClass(grade={self.grade}, {format_class(self)!r})"
+
+
+def _raw(model: RingModel, grade: int, nums: Sequence[int], den: int) -> GradedClass:
+    """The class ``nums / den`` (``den > 0``), reduced to lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    cls = object.__new__(GradedClass)
+    _set(cls, "model", model)
+    _set(cls, "grade", grade)
+    _set(cls, "nums", tuple(nums))
+    _set(cls, "den", den)
+    return cls
 
 
 def format_class(cls: GradedClass) -> str:
@@ -251,41 +308,44 @@ def format_class(cls: GradedClass) -> str:
 
 def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
     """Product in the quotient ring; grades add, and a product monomial
-    survives iff it lies in the target grade's basis (none above the top)."""
-    if a.model != b.model:
-        raise ValidationError("classes live on different models")
+    survives iff it lies in the target grade's basis (none above the top).
+
+    The code of a product monomial is the sum of the factors' codes, so each
+    pair of nonzero numerators costs one integer product and one lookup.
+    """
+    a._check_model(b)
     model = a.model
     grade = a.grade + b.grade
-    index = model.index(grade)
-    out = [Fraction(0)] * len(index)
-    if not index:
-        return GradedClass(model, grade, out)
-    basis_a = model.basis(a.grade)
-    basis_b = model.basis(b.grade)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        ma = basis_a[i]
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
+    where = model.codes(grade)[1]
+    acc = [0] * len(where)
+    if where:
+        get = where.get
+        right = [(cb, nb) for cb, nb in zip(model.codes(b.grade)[0], b.nums) if nb]
+        for ca, na in zip(model.codes(a.grade)[0], a.nums):
+            if not na:
                 continue
-            pos = index.get(tuple(x + y for x, y in zip(ma, basis_b[j])))
-            if pos is not None:
-                out[pos] += ca * cb
-    return GradedClass(model, grade, out)
+            for cb, nb in right:
+                pos = get(ca + cb)
+                if pos is not None:
+                    acc[pos] += na * nb
+    return _raw(model, grade, acc, a.den * b.den)
 
 
 def integrate(a: GradedClass) -> Fraction:
     """Top-degree integral from the model's table; grade must equal dim."""
-    if a.grade != a.model.dimension:
+    model = a.model
+    if a.grade != model.dimension:
         raise ValidationError(
-            f"can only integrate grade-{a.model.dimension} classes, got {a.grade}"
+            f"can only integrate grade-{model.dimension} classes, got {a.grade}"
         )
-    total = Fraction(0)
-    for mono, coeff in zip(a.model.basis(a.grade), a.coeffs):
-        if coeff != 0:
-            total += coeff * a.model.integral_of_monomial(mono)
-    return total
+    index = model.index(a.grade)
+    num, den = 0, 1  # the sum so far, as num / den
+    for mono, value in model.top_integrals.items():
+        pos = index.get(mono)
+        if pos is not None:
+            num = num * value.denominator + a.nums[pos] * value.numerator * den
+            den *= value.denominator
+    return Fraction(num, den * a.den)
 
 
 class SplitBundle:
@@ -343,9 +403,7 @@ class SplitBundle:
             raise ValidationError(
                 "the ampleness criterion is defined on projective-product models"
             )
-        return all(
-            all(c > 0 for c in root.coeffs) for root in self.shifted_roots()
-        )
+        return all(all(n > 0 for n in root.nums) for root in self.shifted_roots())
 
 
 def chern(bundle: SplitBundle, p: int) -> GradedClass:

@@ -20,7 +20,7 @@ from schurcert.errors import ValidationError
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
-from schurcert.rings import multiply
+from schurcert.rings import GradedClass, multiply
 
 
 def inertia_by_charpoly(matrix) -> tuple[int, int, int]:
@@ -73,6 +73,48 @@ def wedge_word_oracle(i1: int, j1: int, i2: int, j2: int, dim: int):
     i_mask = sum(1 << b for kind, b in word if kind == 0)
     j_mask = sum(1 << b for kind, b in word if kind == 1)
     return (-1) ** swaps, (i_mask, j_mask)
+
+
+def multiply_oracle(a, b):
+    """Product of two graded classes by the ``Fraction`` tuple-sum route.
+
+    Walks every pair of nonzero ``Fraction`` coefficients, adds the two
+    exponent tuples and keeps the product iff the sum lies in the target
+    grade's basis.  This is the route ``rings.multiply`` replaced with
+    integer numerators and monomial codes.
+    """
+    if a.model != b.model:
+        raise ValidationError("classes live on different models")
+    model = a.model
+    grade = a.grade + b.grade
+    index = model.index(grade)
+    out = [Fraction(0)] * len(index)
+    if not index:
+        return GradedClass(model, grade, out)
+    basis_a = model.basis(a.grade)
+    basis_b = model.basis(b.grade)
+    for i, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        ma = basis_a[i]
+        for j, cb in enumerate(b.coeffs):
+            if cb == 0:
+                continue
+            pos = index.get(tuple(x + y for x, y in zip(ma, basis_b[j])))
+            if pos is not None:
+                out[pos] += ca * cb
+    return GradedClass(model, grade, out)
+
+
+def integrate_oracle(a) -> Fraction:
+    """Top integral of a graded class, summed over its ``Fraction`` coefficients."""
+    if a.grade != a.model.dimension:
+        raise ValidationError("can only integrate top-grade classes")
+    return sum(
+        (c * a.model.top_integrals.get(mono, 0)
+         for mono, c in zip(a.model.basis(a.grade), a.coeffs)),
+        Fraction(0),
+    )
 
 
 def chern_by_subsets(bundle, p: int):

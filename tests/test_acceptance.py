@@ -371,3 +371,28 @@ def test_criterion_11_factorization_and_kt_recovery():
         checked += 1
     assert checked >= 25
     _verdict("11 factorization-and-kt-recovery", failures)
+
+
+def test_criterion_12_schur_classes_on_proj_1_10():
+    # The theorem on the largest ring instance: every s_lambda(E) with
+    # lambda |- d - 2 = 8 of one ample rank-10 split bundle over
+    # (P^1)^10 is Hodge-Riemann on H^{1,1}.
+    failures = []
+    rng = rng_for(MASTER_SEED, 12)
+    model = proj(*[1] * 10)
+    roots = [model.degree_one([rng.randint(1, 3) for _ in range(10)]) for _ in range(10)]
+    bundle = SplitBundle(model, roots)
+    assert bundle.is_ample()
+    h = model.degree_one([1] * 10)
+    h2 = multiply(h, h)
+    lams = list(partitions_of(8))
+    for lam in lams:
+        cls = schur_class(bundle, lam)
+        triple = inertia_triple(gram_on_h11(cls))
+        if triple != (1, 0, 9):
+            failures.append(f"lam={lam.format()}: inertia {triple} != (1,0,9)")
+        positivity = integrate(multiply(cls, h2))
+        if not positivity > 0:
+            failures.append(f"lam={lam.format()}: positivity integral {positivity} <= 0")
+    assert len(lams) == 22
+    _verdict("12 schur-classes-on-proj-1^10 (22 partitions of 8)", failures)

@@ -184,3 +184,27 @@ def test_fraction_free_diagonal_on_scaled_and_degenerate_input():
             scaled = [[x * scale for x in row] for row in m]
             assert congruence_diagonal(scaled) == congruence_diagonal_oracle(scaled)[0]
     assert congruence_diagonal([]) == []
+
+
+def test_int_matrix_gives_the_diagonal_of_its_fraction_twin():
+    # An int entry passes through unchanged; the Fraction twin takes the
+    # lcm route.  Both give the same pivots, as Fractions.
+    rng = random.Random(2019)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        ints = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() >= 0.4:
+                    ints[i][j] = ints[j][i] = rng.randint(-9, 9)
+        if rng.random() < 0.5:
+            for i in range(n):
+                ints[i][i] = 0
+        twin = [[Fraction(x) for x in row] for row in ints]
+        diag = congruence_diagonal(ints)
+        assert diag == congruence_diagonal(twin)
+        assert all(type(x) is Fraction for x in diag)
+        assert inertia_triple(ints) == inertia_triple(twin)
+    for bad in (0.5, "1/2"):
+        with pytest.raises(ValidationError):
+            congruence_diagonal([[1, 0], [0, bad]])
