@@ -249,6 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _COMMANDS = {
     "schur": _cmd_schur,
     "ring-eval": _cmd_ring_eval,
@@ -261,8 +263,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "paper-repro":
             lines, code = _cmd_paper_repro(args)

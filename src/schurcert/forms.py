@@ -2,7 +2,7 @@
 
 Forms are sparse maps from pairs of index subsets (stored as bitmasks) to
 Gaussian-rational coefficients, on C^d for d <= 8 (``MAX_DIM``; one
-hr-check at d=8 takes about 0.7 s):
+hr-check at d=8 takes about 0.3 s):
 
     Omega = sum c_{I,J} dz_I wedge dzbar_J,   I, J increasing.
 
@@ -21,6 +21,23 @@ Conventions, validated by tests before anything is built on them:
   making integral(omega^d) = d! for the standard Kaehler form.  Positivity
   verdicts are invariant under any positive rescaling of the integral, so
   this choice is harmless.
+
+The Hodge-Riemann pairing is read off omega, not wedged.  For a
+(d-2,d-2)-form omega and 0-based indices j, k, l, m, the only term of omega
+that survives in dz_j dzbar_k wedge omega wedge dz_l dzbar_m is the one at
+I = [d] - {j, l}, J = [d] - {k, m}, so the product is 0 unless j != l and
+k != m.  Otherwise, with c the coefficient of omega there:
+
+* moving dz_I left past dzbar_k gives (-1)^(d-2), and moving dz_l left past
+  dzbar_k dzbar_J gives (-1)^(d-1): together -1;
+* sorting j|I|l takes (j - [l<j]) + (d-1-l) transpositions and sorting
+  k|J|m takes (k - [m<k]) + (d-1-m); call their sum e;
+
+so the top coefficient is -(-1)^e c, and the integral is that over the
+volume unit i^(d^2).  A real (1,1)-form is at most d^2 such elementary
+terms, so every Gram entry on the canonical real basis is a sum of at most
+four lookups, and integral(omega wedge ref^2) = integral(ref wedge omega
+wedge ref), (1,1)-forms being even, is one lookup per pair of terms of ref.
 """
 
 from __future__ import annotations
@@ -28,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -41,11 +57,13 @@ from .partitions import Partition
 Key = tuple[int, int]  # (I bitmask, J bitmask)
 Pair = tuple[int, int]  # Gaussian integer re + im*i
 
-# Largest accepted dimension.  Work grows about 4x per dimension: the
+# Largest accepted dimension.  Work grows about 4-5x per dimension: the
 # hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 a dense
-# positive definite form with complex entries, took 0.05 s at d=6, 0.17 s at
-# d=7 and 0.66 s at d=8 on one core of a 2-vCPU Xeon host.  d >= 9 is
-# refused: no test or benchmark covers it yet.
+# positive definite form with complex entries, took 0.014 s at d=6, 0.07 s
+# at d=7 and 0.32 s at d=8 (building the form included) on one core of a
+# 2-vCPU Xeon host; the Gram is 9 ms of the d=8 time, the powers and the
+# congruence reduction the rest.  d >= 9 is refused: no test or benchmark
+# covers it yet.
 MAX_DIM = 8
 
 
@@ -326,14 +344,18 @@ def _volume_unit(dim: int) -> Pair:
     return (0, 1) if dim & 1 else (1, 0)
 
 
-def _real_over_volume(top: Pair, den: int, dim: int, fault: str) -> Fraction:
-    """``(re + im*i) / den`` divided by the volume unit of ``dim``; the
-    quotient must be real, else ``fault`` is raised."""
+_NON_REAL_TOP = "internal: real form integrated to a non-real value"
+
+
+def _real_over_volume(top: Pair, dim: int, fault: str) -> int:
+    """``re + im*i`` divided by the volume unit of ``dim`` (a unit, so the
+    denominator is kept); the quotient must be real, else ``fault`` is
+    raised."""
     re, im = top
     vr, vi = _volume_unit(dim)
     if im * vr != re * vi:
         raise RuntimeError(fault)
-    return Fraction(re * vr + im * vi, den)
+    return re * vr + im * vi
 
 
 def integrate_top(omega: PQForm) -> Fraction:
@@ -350,12 +372,8 @@ def integrate_top(omega: PQForm) -> Fraction:
     if not omega.is_real():
         raise PreconditionError("top integral of a non-real form")
     full = (1 << omega.dim) - 1
-    return _real_over_volume(
-        omega.coeffs.get((full, full), (0, 0)),
-        omega.den,
-        omega.dim,
-        "internal: real form integrated to a non-real value",
-    )
+    top = _real_over_volume(omega.coeffs.get((full, full), (0, 0)), omega.dim, _NON_REAL_TOP)
+    return Fraction(top, omega.den)
 
 
 def hermitian_form(rows: Sequence[Sequence]) -> PQForm:
@@ -433,34 +451,50 @@ def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
     return evaluate(schur_poly(lam, e), elementary_symmetric(omegas, one), one)
 
 
-@lru_cache(maxsize=None)
-def real_oneone_basis(dim: int) -> tuple[PQForm, ...]:
-    """Canonical real basis of the d^2-dimensional space of real (1,1)-forms.
-
-    Order: the diagonal forms i dz_j dzbar_j; then i(dz_j dzbar_k +
-    dz_k dzbar_j) for j < k; then dz_j dzbar_k - dz_k dzbar_j for j < k.
-    """
-    basis: list[PQForm] = []
-    i_unit = GaussianRational.i()
-    for j in range(1, dim + 1):
-        basis.append(PQForm.dz_dzbar(dim, j, j, i_unit))
-    for j in range(1, dim + 1):
-        for k in range(j + 1, dim + 1):
-            basis.append(
-                PQForm.dz_dzbar(dim, j, k, i_unit)
-                + PQForm.dz_dzbar(dim, k, j, i_unit)
-            )
-    for j in range(1, dim + 1):
-        for k in range(j + 1, dim + 1):
-            basis.append(
-                PQForm.dz_dzbar(dim, j, k, 1) + PQForm.dz_dzbar(dim, k, j, -1)
-            )
-    return tuple(basis)
+Term = tuple[int, int, int, int]  # (j, k, re, im): (re + im*i) dz_j dzbar_k, 0-based
 
 
-def hr_gram(omega: PQForm) -> list[list[Fraction]]:
-    """Gram matrix of (a, b) -> integral(a wedge omega wedge b) on the
-    canonical real (1,1) basis; all entries exact rationals."""
+def _real_basis_terms(dim: int) -> list[tuple[Term, ...]]:
+    """The canonical real basis of the d^2-dimensional space of real
+    (1,1)-forms, in the order :func:`hr_gram` documents, each basis form
+    as its elementary terms."""
+    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+    return (
+        [((j, j, 0, 1),) for j in range(dim)]
+        + [((j, k, 0, 1), (k, j, 0, 1)) for j, k in pairs]
+        + [((j, k, 1, 0), (k, j, -1, 0)) for j, k in pairs]
+    )
+
+
+def _pairing(omega: PQForm, left: Sequence[Term], right: Sequence[Term]) -> Pair:
+    """Numerators, over ``omega.den`` times the denominators of the terms,
+    of the coefficient of dz_{1..d} dzbar_{1..d} in a wedge omega wedge b,
+    a and b the sums of the ``left`` and ``right`` terms: one lookup of
+    omega per pair of terms, signed by the rule in the module docstring."""
+    d = omega.dim
+    full = (1 << d) - 1
+    get = omega.coeffs.get
+    total_re = total_im = 0
+    for j, k, r1, m1 in left:
+        for l, m, r2, m2 in right:
+            if j == l or k == m:
+                continue
+            c = get((full ^ (1 << j | 1 << l), full ^ (1 << k | 1 << m)))
+            if c is None:
+                continue
+            ar, ai = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
+            re, im = ar * c[0] - ai * c[1], ar * c[1] + ai * c[0]
+            e = (j - (l < j)) + (d - 1 - l) + (k - (m < k)) + (d - 1 - m)
+            if e & 1:
+                total_re += re
+                total_im += im
+            else:
+                total_re -= re
+                total_im -= im
+    return total_re, total_im
+
+
+def _require_pairing(omega: PQForm) -> None:
     d = omega.dim
     if (omega.p, omega.q) != (d - 2, d - 2):
         raise PreconditionError(
@@ -469,21 +503,34 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
         )
     if not omega.is_real():
         raise PreconditionError("Hodge-Riemann pairing of a non-real form")
-    basis = real_oneone_basis(d)
-    mids = [wedge(b, omega) for b in basis]
+
+
+def _gram_numerators(omega: PQForm) -> list[list[int]]:
+    """The Hodge-Riemann Gram of a real (d-2,d-2)-form times ``omega.den``."""
+    d = omega.dim
+    basis = _real_basis_terms(d)
     n = len(basis)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
+    rows = [[0] * n for _ in range(n)]
+    for a, left in enumerate(basis):
+        for b in range(a, n):
             val = _real_over_volume(
-                _top_numerators(mids[i], basis[j]),
-                mids[i].den * basis[j].den,
-                d,
-                "internal: non-real Gram entry",
+                _pairing(omega, left, basis[b]), d, "internal: non-real Gram entry"
             )
-            gram[i][j] = val
-            gram[j][i] = val
-    return gram
+            rows[a][b] = rows[b][a] = val
+    return rows
+
+
+def hr_gram(omega: PQForm) -> list[list[Fraction]]:
+    """Gram matrix of (a, b) -> integral(a wedge omega wedge b) on the
+    canonical real (1,1) basis; all entries exact rationals.
+
+    Order of the basis: i dz_j dzbar_j; then i(dz_j dzbar_k + dz_k dzbar_j)
+    for j < k; then dz_j dzbar_k - dz_k dzbar_j for j < k.  Each entry is
+    a signed sum of at most four coefficients of omega, looked up by the
+    rule in the module docstring; nothing is wedged.
+    """
+    _require_pairing(omega)
+    return [[Fraction(x, omega.den) for x in row] for row in _gram_numerators(omega)]
 
 
 def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> InertiaReport:
@@ -491,15 +538,23 @@ def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> InertiaReport:
 
     The reference form must be Kaehler (positive definite); the verdict is
     HR iff integral(omega wedge ref^2) > 0 and the inertia is
-    (1, 0, d^2 - 1), and HL iff the pairing is nondegenerate.
+    (1, 0, d^2 - 1), and HL iff the pairing is nondegenerate.  Both are
+    read off the coefficients of omega; the Gram's inertia is taken on its
+    integer numerators, which have the same inertia since omega.den > 0.
     """
     d = omega.dim
     if reference.dim != d:
         raise ValidationError("reference form has the wrong dimension")
     if not kahler_check(reference):
         raise PreconditionError("reference form is not Kaehler (not positive definite)")
-    positivity = integrate_top(wedge(wedge(omega, reference), reference))
-    rep = inertia(hr_gram(omega))
+    _require_pairing(omega)
+    terms = [
+        (i.bit_length() - 1, j.bit_length() - 1, re, im)
+        for (i, j), (re, im) in reference.coeffs.items()
+    ]
+    top = _real_over_volume(_pairing(omega, terms, terms), d, _NON_REAL_TOP)
+    positivity = Fraction(top, omega.den * reference.den**2)
+    rep = inertia(_gram_numerators(omega))
     return replace(
         rep,
         hr_flag=positivity > 0 and rep.triple == (1, 0, d * d - 1),

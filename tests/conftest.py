@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import pytest
 
 from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate, schur
 from schurcert.errors import ValidationError
+from schurcert.forms import PQForm
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
@@ -453,6 +455,33 @@ def integrate_top_oracle(omega: GaussianForm) -> Fraction:
     r = omega.coeffs.get((full, full), GaussianRational(0)) / _volume_oracle(omega.dim)
     assert r.im == 0
     return r.re
+
+
+@lru_cache(maxsize=None)
+def real_oneone_basis(dim: int) -> tuple[PQForm, ...]:
+    """Canonical real basis of the d^2-dimensional space of real (1,1)-forms.
+
+    Order: the diagonal forms i dz_j dzbar_j; then i(dz_j dzbar_k +
+    dz_k dzbar_j) for j < k; then dz_j dzbar_k - dz_k dzbar_j for j < k.
+    It is the basis ``forms.hr_gram`` reads its entries on, built as forms
+    for ``hr_gram_oracle``.
+    """
+    basis: list[PQForm] = []
+    i_unit = GaussianRational.i()
+    for j in range(1, dim + 1):
+        basis.append(PQForm.dz_dzbar(dim, j, j, i_unit))
+    for j in range(1, dim + 1):
+        for k in range(j + 1, dim + 1):
+            basis.append(
+                PQForm.dz_dzbar(dim, j, k, i_unit)
+                + PQForm.dz_dzbar(dim, k, j, i_unit)
+            )
+    for j in range(1, dim + 1):
+        for k in range(j + 1, dim + 1):
+            basis.append(
+                PQForm.dz_dzbar(dim, j, k, 1) + PQForm.dz_dzbar(dim, k, j, -1)
+            )
+    return tuple(basis)
 
 
 def hr_gram_oracle(omega: GaussianForm, basis) -> list[list[Fraction]]:

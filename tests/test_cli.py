@@ -58,6 +58,22 @@ class TestSchurCommand:
         code, out, _ = run(capsys, ["--machine", "schur", "2,1", "--rank", "3"])
         assert code == 0 and out.strip() == "polynomial=c1*c2 - c3"
 
+    def test_main_keeps_no_state_between_calls(self, capsys):
+        # One parser serves every call: an option, a refusal or a flag of
+        # one call must not leak into the next.
+        code, out, _ = run(capsys, ["schur", "2,1", "--rank", "3", "--derived", "1"])
+        assert code == 0 and out.strip() == "polynomial=2*c1^2 + 2*c2"
+        code, out, _ = run(capsys, ["schur", "2,1", "--rank", "3"])
+        assert code == 0 and out.strip() == "polynomial=c1*c2 - c3"
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "2,1", "--rank", "three"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, ["schur", "1,1,1", "--rank", "3", "--derived", "2"])
+        assert code == 0 and out.strip() == "polynomial=10*c1" and err == ""
+        code, out, _ = run(capsys, ["--machine", "schur", "2,1", "--rank", "3"])
+        assert code == 0 and out.strip() == "polynomial=c1*c2 - c3"
+
 
 class TestHrCheck:
     def write(self, tmp_path, a):

@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import gaussian_coefficients, positive_definite_by_minors, wedge_word_oracle
+from conftest import (
+    gaussian_coefficients,
+    positive_definite_by_minors,
+    real_oneone_basis,
+    wedge_word_oracle,
+)
 from instances import random_pd_hermitian, rng_for
 
 from schurcert.chernpoly import elementary_symmetric
@@ -16,7 +21,6 @@ from schurcert.forms import (
     hr_gram,
     integrate_top,
     kahler_check,
-    real_oneone_basis,
     schur_form,
     wedge,
     wedge_top_coefficient,

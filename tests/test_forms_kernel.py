@@ -11,7 +11,13 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import GaussianForm, _volume_oracle, hr_gram_oracle, integrate_top_oracle
+from conftest import (
+    GaussianForm,
+    _volume_oracle,
+    hr_gram_oracle,
+    integrate_top_oracle,
+    real_oneone_basis,
+)
 from instances import random_pd_hermitian, rng_for
 from test_acceptance import MASTER_SEED
 
@@ -22,7 +28,6 @@ from schurcert.forms import (
     _volume_unit,
     hr_gram,
     integrate_top,
-    real_oneone_basis,
     schur_form,
     wedge,
 )
