@@ -1,16 +1,24 @@
-"""Polynomials in abstract Chern generators, with twist variables.
+"""Polynomials in abstract Chern generators, and the Schur classes among them.
 
-A :class:`ChernPoly` is a homogeneous polynomial with rational coefficients
-in generators ``c_1, ..., c_e`` (``c_0 = 1``; ``c_k = 0`` outside
-``0 <= k <= e``), where ``c_k`` carries grade ``k``.  The generator set may
-be extended by formal degree-1 twist variables; a polynomial with one twist
-variable plays the role the twisted-bundle classes play in the geometry:
-setting the twist variable to zero recovers the untwisted polynomial.
+A :class:`ChernPoly` is a homogeneous polynomial with exact rational
+coefficients in generators ``c_1, ..., c_e`` (``c_0 = 1``; ``c_k = 0``
+outside ``0 <= k <= e``), where ``c_k`` carries grade ``k``.
 
-Everything is exact: coefficients are ``fractions.Fraction`` and no
-floating point appears anywhere.  Determinants are expanded over the
-polynomial ring itself (memoized Laplace expansion), which is entirely
-adequate at the intended sizes (weights up to ~8).
+With ``c_k = e_k(x)`` in the Chern roots ``x``, ``s_lam = det(c_{lam_i+j-i})``
+is the Schur function ``S_lam'(x)`` of the conjugate (dual Jacobi-Trudi).
+The derived class ``s_mu^(k)`` is the coefficient of ``d^k`` in
+``s_mu(E (x) L)``, whose roots are ``x_i + d`` with ``d = c_1(L)``.
+Lascoux's formula ("Classes de Chern d'un produit tensoriel", C. R. Acad.
+Sci. Paris 286, 1978) for ``S_a(x + d)``, read with ``a = mu'`` and
+``b = nu'`` over ``i, j = 1..e``, gives::
+
+    s_mu(E (x) L) = sum_{nu ⊆ mu} det(C(a_i+e-i, b_j+e-j)) s_nu(E) d^(|mu|-|nu|)
+
+Past row ``mu_1`` both conjugates vanish, so there an entry is 0 left of
+the diagonal (``b_j + e - j >= e - mu_1 > e - i``) and 1 on it: the rows
+and columns past ``mu_1`` form a unitriangular block and drop out.  The
+determinants are nonnegative integers, so every derived class is a
+nonnegative sum of Schur classes by construction.
 """
 
 from __future__ import annotations
@@ -23,40 +31,30 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ValidationError, exact_rational
 from .partitions import Partition
 
-# A monomial is a pair (cs, extras): `cs` is the sorted tuple of generator
-# indices (c_1*c_1*c_2 -> (1, 1, 2)), `extras` the exponent tuple of the
-# twist variables.  Its grade is sum(cs) + sum(extras).
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
-
-# Display names for twist variables, in slot order.
-EXTRA_NAMES = ("d", "u", "v", "w")
+# A monomial is the sorted tuple of its generator indices
+# (c_1*c_1*c_2 -> (1, 1, 2)); its grade is their sum.
+Monomial = tuple[int, ...]
 
 
 class ChernPoly:
-    """Homogeneous polynomial in Chern generators and twist variables."""
+    """Homogeneous polynomial in Chern generators."""
 
-    __slots__ = ("rank", "nextra", "terms")
+    __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: Mapping[Monomial, Fraction], nextra: int = 0):
+    def __init__(self, rank: int, terms: Mapping[Monomial, Fraction]):
         if rank < 1:
             raise ValidationError(f"rank must be positive, got {rank}")
-        if nextra < 0 or nextra > len(EXTRA_NAMES):
-            raise ValidationError(f"unsupported number of twist variables: {nextra}")
         clean: dict[Monomial, Fraction] = {}
         grade = None
-        for (cs, extras), coeff in terms.items():
+        for cs, coeff in terms.items():
             coeff = exact_rational(coeff)
             if coeff == 0:
                 continue
-            if len(extras) != nextra:
-                raise ValidationError("twist exponent tuple has wrong arity")
             if any(k < 1 or k > rank for k in cs):
                 raise ValidationError(f"generator index out of range 1..{rank}: {cs}")
             if tuple(sorted(cs)) != cs:
                 raise ValidationError(f"generator indices must be sorted: {cs}")
-            if any(x < 0 for x in extras):
-                raise ValidationError("negative twist exponent")
-            g = sum(cs) + sum(extras)
+            g = sum(cs)
             if grade is None:
                 grade = g
             elif g != grade:
@@ -64,9 +62,8 @@ class ChernPoly:
                     f"inhomogeneous terms (grades {grade} and {g}); "
                     "track formal sums per grade instead"
                 )
-            clean[(cs, extras)] = coeff
+            clean[cs] = coeff
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "nextra", nextra)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -75,28 +72,25 @@ class ChernPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, rank: int, nextra: int = 0) -> "ChernPoly":
-        return cls(rank, {}, nextra)
+    def zero(cls, rank: int) -> "ChernPoly":
+        return cls(rank, {})
 
     @classmethod
-    def const(cls, rank: int, value, nextra: int = 0) -> "ChernPoly":
-        value = exact_rational(value)
-        if value == 0:
-            return cls.zero(rank, nextra)
-        return cls(rank, {((), (0,) * nextra): value}, nextra)
+    def const(cls, rank: int, value) -> "ChernPoly":
+        return cls(rank, {(): value})
 
     @classmethod
-    def one(cls, rank: int, nextra: int = 0) -> "ChernPoly":
-        return cls.const(rank, 1, nextra)
+    def one(cls, rank: int) -> "ChernPoly":
+        return cls.const(rank, 1)
 
     @classmethod
-    def generator(cls, rank: int, k: int, nextra: int = 0) -> "ChernPoly":
+    def generator(cls, rank: int, k: int) -> "ChernPoly":
         """The class ``c_k``, normalized: 1 for k = 0, 0 outside 0..rank."""
         if k == 0:
-            return cls.one(rank, nextra)
+            return cls.one(rank)
         if k < 0 or k > rank:
-            return cls.zero(rank, nextra)
-        return cls(rank, {((k,), (0,) * nextra): Fraction(1)}, nextra)
+            return cls.zero(rank)
+        return cls(rank, {(k,): Fraction(1)})
 
     # -- basic queries -------------------------------------------------
 
@@ -109,14 +103,14 @@ class ChernPoly:
     @property
     def grade(self) -> int | None:
         """Common grade of all terms; None for the zero polynomial."""
-        for (cs, extras) in self.terms:
-            return sum(cs) + sum(extras)
+        for cs in self.terms:
+            return sum(cs)
         return None
 
     # -- arithmetic -----------------------------------------------------
 
     def _check_compatible(self, other: "ChernPoly") -> None:
-        if self.rank != other.rank or self.nextra != other.nextra:
+        if self.rank != other.rank:
             raise ValidationError("polynomials live in different algebras")
 
     def __add__(self, other: "ChernPoly") -> "ChernPoly":
@@ -130,12 +124,10 @@ class ChernPoly:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, Fraction(0)) + coeff
-        return ChernPoly(self.rank, merged, self.nextra)
+        return ChernPoly(self.rank, merged)
 
     def __neg__(self) -> "ChernPoly":
-        return ChernPoly(
-            self.rank, {k: -c for k, c in self.terms.items()}, self.nextra
-        )
+        return ChernPoly(self.rank, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "ChernPoly") -> "ChernPoly":
         return self + (-other)
@@ -143,29 +135,23 @@ class ChernPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = exact_rational(other)
-            if q == 0:
-                return ChernPoly.zero(self.rank, self.nextra)
-            return ChernPoly(
-                self.rank, {k: c * q for k, c in self.terms.items()}, self.nextra
-            )
+            return ChernPoly(self.rank, {k: c * q for k, c in self.terms.items()})
         if not isinstance(other, ChernPoly):
             return NotImplemented
         self._check_compatible(other)
         out: dict[Monomial, Fraction] = {}
-        for (cs1, ex1), q1 in self.terms.items():
-            for (cs2, ex2), q2 in other.terms.items():
-                cs = tuple(sorted(cs1 + cs2))
-                ex = tuple(a + b for a, b in zip(ex1, ex2))
-                key = (cs, ex)
+        for cs1, q1 in self.terms.items():
+            for cs2, q2 in other.terms.items():
+                key = tuple(sorted(cs1 + cs2))
                 out[key] = out.get(key, Fraction(0)) + q1 * q2
-        return ChernPoly(self.rank, out, self.nextra)
+        return ChernPoly(self.rank, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChernPoly":
         if n < 0:
             raise ValidationError("negative polynomial power")
-        result = ChernPoly.one(self.rank, self.nextra)
+        result = ChernPoly.one(self.rank)
         for _ in range(n):
             result = result * self
         return result
@@ -174,24 +160,10 @@ class ChernPoly:
         return (
             isinstance(other, ChernPoly)
             and self.rank == other.rank
-            and self.nextra == other.nextra
             and self.terms == other.terms
         )
 
     __hash__ = None  # mutable dict inside; polynomials are not hashable
-
-    # -- twist-variable plumbing ---------------------------------------
-
-    def twist_coefficient(self, power: int) -> "ChernPoly":
-        """Coefficient of (first twist variable)**power, dropping that variable."""
-        if not self.nextra:
-            raise ValidationError("polynomial has no twist variable")
-        out = {
-            (cs, extras[1:]): coeff
-            for (cs, extras), coeff in self.terms.items()
-            if extras[0] == power
-        }
-        return ChernPoly(self.rank, out, self.nextra - 1)
 
     # -- pretty printing ------------------------------------------------
 
@@ -202,13 +174,7 @@ class ChernPoly:
         return f"ChernPoly(rank={self.rank}, {format_poly(self)!r})"
 
 
-def _monomial_sort_key(key: Monomial):
-    cs, extras = key
-    return (sum(extras), cs, extras)
-
-
-def _format_monomial(key: Monomial) -> str:
-    cs, extras = key
+def _format_monomial(cs: Monomial) -> str:
     factors: list[str] = []
     i = 0
     while i < len(cs):
@@ -218,24 +184,18 @@ def _format_monomial(key: Monomial) -> str:
         power = j - i
         factors.append(f"c{cs[i]}" if power == 1 else f"c{cs[i]}^{power}")
         i = j
-    for slot, power in enumerate(extras):
-        if power == 1:
-            factors.append(EXTRA_NAMES[slot])
-        elif power > 1:
-            factors.append(f"{EXTRA_NAMES[slot]}^{power}")
     return "*".join(factors)
 
 
 def format_poly(poly: ChernPoly) -> str:
-    """Deterministic rendering, e.g. ``c1*c2 - c3`` or ``c1 + 3*d``.
+    """Deterministic rendering, e.g. ``c1*c2 - c3``.
 
-    Terms are ordered by total twist degree, then lexicographically on the
-    generator-index tuple; within a term the coefficient precedes the
-    monomial (unit coefficients are omitted).
+    Terms are ordered lexicographically on the generator-index tuple; within
+    a term the coefficient precedes the monomial (unit coefficients are
+    omitted).
     """
     return format_terms(
-        (_format_monomial(key), poly.terms[key])
-        for key in sorted(poly.terms, key=_monomial_sort_key)
+        (_format_monomial(cs), poly.terms[cs]) for cs in sorted(poly.terms)
     )
 
 
@@ -271,14 +231,16 @@ def det_in_ring(matrix: Sequence[Sequence], one):
     Entries may be any commutative ring elements supporting ``+``, ``-``,
     ``*`` and truthiness (falsy = zero); ``one`` is the ring unit, used for
     the empty product.  The i-th row is expanded against every surviving
-    column subset of size n-i, so the memo key is the subset alone.
+    column subset of size n-i, so the memo key is the subset alone.  A sum
+    starts from its first term, so graded entries (forms, classes) are only
+    added in their own grade: a minor without terms is ``None`` and drops
+    out, and ``one * 0`` stands for a determinant without terms.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("determinant needs a square matrix")
     if n == 0:
         return one
-    zero = one * 0
     memo: dict[int, object] = {}
 
     def minor(i: int, mask: int):
@@ -286,7 +248,7 @@ def det_in_ring(matrix: Sequence[Sequence], one):
             return one
         if mask in memo:
             return memo[mask]
-        acc = zero
+        acc = None
         sign = 1
         m = mask
         while m:
@@ -294,51 +256,51 @@ def det_in_ring(matrix: Sequence[Sequence], one):
             j = low.bit_length() - 1
             entry = matrix[i][j]
             if entry:
-                term = entry * minor(i + 1, mask ^ low)
-                acc = acc + term if sign > 0 else acc - term
+                sub = minor(i + 1, mask ^ low)
+                if sub is not None:
+                    term = entry * sub if sign > 0 else -(entry * sub)
+                    acc = term if acc is None else acc + term
             sign = -sign
             m ^= low
         memo[mask] = acc
         return acc
 
-    return minor(0, (1 << n) - 1)
+    det = minor(0, (1 << n) - 1)
+    return one * 0 if det is None else det
 
 
-def elementary_symmetric(xs: Sequence, one) -> list:
-    """``[e_0, ..., e_n]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
+def elementary_symmetric(xs: Sequence, one, top: int | None = None) -> list:
+    """``[e_0, ..., e_top]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
 
-    Works in any commutative ring; ``one`` is ``e_0``.  ``e_1`` starts at the
-    first element, so no product with ``one`` is formed.
+    Works in any commutative ring; ``one`` is ``e_0``.  ``top`` defaults to,
+    and is capped at, ``len(xs)``; no ``e_j`` above it is formed.  ``e_1``
+    starts at the first element, so no product with ``one`` is formed.
     """
+    top = len(xs) if top is None else min(top, len(xs))
     es = [one]
     for k, x in enumerate(xs, start=1):
-        es.append(es[-1] * x if k > 1 else x)
-        for j in range(k - 1, 1, -1):
+        if k <= top:
+            es.append(es[-1] * x if k > 1 else x)
+        for j in range(min(k - 1, top), 1, -1):
             es[j] = es[j] + es[j - 1] * x
-        if k > 1:
+        if k > 1 and top >= 1:
             es[1] = es[1] + x
     return es
 
 
-def evaluate(poly: "ChernPoly", images, one, twist_images: Sequence = ()):
+def evaluate(poly: "ChernPoly", images, one):
     """Value of ``poly`` with ``c_k -> images[k]`` in any commutative ring.
 
-    ``one`` is the ring unit, used only for a constant term; twist variable
-    ``s`` goes to ``twist_images[s]``.  The zero polynomial has no grade to
-    take a value in and is rejected.
+    ``one`` is the ring unit, used only for a constant term.  The zero
+    polynomial has no grade to take a value in and is rejected.
     """
-    if len(twist_images) != poly.nextra:
-        raise ValidationError("one image required per twist variable")
     total = None
-    for (cs, extras), coeff in poly.terms.items():
-        factors = [images[k] for k in cs]
-        for slot, power in enumerate(extras):
-            factors += [twist_images[slot]] * power
-        term = factors[0] if factors else one
+    for cs, coeff in poly.terms.items():
+        term = images[cs[0]] if cs else one
         if coeff != 1:
             term = term * coeff
-        for factor in factors[1:]:
-            term = term * factor
+        for k in cs[1:]:
+            term = term * images[k]
         total = term if total is None else total + term
     if total is None:
         raise ValidationError("cannot infer the grade of the zero polynomial here")
@@ -348,71 +310,68 @@ def evaluate(poly: "ChernPoly", images, one, twist_images: Sequence = ()):
 # -- the Schur machinery ------------------------------------------------
 
 
-def chern_of_twist(p: int, rank: int) -> ChernPoly:
-    """Degree-p Chern class of a bundle twisted by one formal degree-1 class.
-
-    Returns ``sum_k binom(rank-k, p-k) c_k d^(p-k)`` in the algebra with a
-    single twist variable ``d``; equivalently, the p-th elementary symmetric
-    polynomial of the shifted roots ``x_i + d``.
-    """
-    if p < 0 or p > rank:
-        raise ValidationError(f"twisted Chern degree {p} out of range 0..{rank}")
-    terms: dict[Monomial, Fraction] = {}
-    for k in range(0, p + 1):
-        coeff = Fraction(math.comb(rank - k, p - k))
-        if coeff == 0:
-            continue
-        cs = (k,) if k >= 1 else ()
-        terms[(cs, (p - k,))] = coeff
-    return ChernPoly(rank, terms, nextra=1)
-
-
-def _jt_entry(k: int, rank: int, twisted: bool) -> ChernPoly:
-    nextra = 1 if twisted else 0
-    if k == 0:
-        return ChernPoly.one(rank, nextra)
-    if k < 0 or k > rank:
-        return ChernPoly.zero(rank, nextra)
-    return chern_of_twist(k, rank) if twisted else ChernPoly.generator(rank, k)
-
-
-def jacobi_trudi(parts: Sequence[int], rank: int, twisted: bool = False) -> ChernPoly:
+def jacobi_trudi(parts: Sequence[int], rank: int) -> ChernPoly:
     """The determinant ``det(c_{parts[i] + j - i})`` (indices 0-based).
 
     ``parts`` may carry explicit trailing zeros; the result is invariant
-    under appending them (covered by tests).  With ``twisted=True`` every
-    entry is replaced by its twisted counterpart.
+    under appending them (covered by tests).
     """
     n = len(parts)
-    nextra = 1 if twisted else 0
-    if n == 0:
-        return ChernPoly.one(rank, nextra)
     rows = [
-        [_jt_entry(parts[i] + j - i, rank, twisted) for j in range(n)]
+        [ChernPoly.generator(rank, parts[i] + j - i) for j in range(n)]
         for i in range(n)
     ]
-    return det_in_ring(rows, ChernPoly.one(rank, nextra))
+    return det_in_ring(rows, ChernPoly.one(rank))
 
 
-# Determinant expansions repeat heavily across certification suites (the
-# same (partition, rank) pair is queried for every derived order), so the
-# canonical-shape results are cached.  ChernPoly values are immutable.
+# Every derived class of a (partition, rank) pair sums the Schur classes of
+# the partitions inside it, so the same few determinants are asked for again
+# and again; the canonical-shape results are cached.  ChernPoly values are
+# immutable.
 @functools.lru_cache(maxsize=4096)
-def _jacobi_trudi_cached(parts: tuple[int, ...], rank: int, twisted: bool) -> ChernPoly:
-    return jacobi_trudi(parts, rank, twisted)
+def _jacobi_trudi_cached(parts: tuple[int, ...], rank: int) -> ChernPoly:
+    return jacobi_trudi(parts, rank)
 
 
 def schur(lam: Partition, rank: int) -> ChernPoly:
     """Schur class ``det(c_{lam_i + j - i})`` as a grade-|lam| polynomial."""
     lam.require_rank(rank)
-    return _jacobi_trudi_cached(lam.parts, rank, False)
+    return _jacobi_trudi_cached(lam.parts, rank)
+
+
+def _partitions_inside(parts: tuple[int, ...], weight: int, cap: int):
+    """The partitions of ``weight`` with ``nu_i <= parts[i]`` and ``nu_1 <= cap``."""
+    if weight == 0:
+        yield ()
+    elif parts:
+        for first in range(min(parts[0], cap, weight), 0, -1):
+            for rest in _partitions_inside(parts[1:], weight - first, first):
+                yield (first,) + rest
+
+
+# The logconcave and ring-eval verdicts ask for several orders of one
+# (partition, rank) pair, so each derived class is cached too.
+@functools.lru_cache(maxsize=4096)
+def _derived_schur_cached(parts: tuple[int, ...], rank: int, order: int) -> ChernPoly:
+    width = parts[0] if parts else 0
+
+    def shifted_conjugate(nu: tuple[int, ...]) -> list[int]:
+        return [sum(1 for p in nu if p > i) + rank - 1 - i for i in range(width)]
+
+    rows = shifted_conjugate(parts)
+    total = ChernPoly.zero(rank)
+    for nu in _partitions_inside(parts, sum(parts) - order, width):
+        cols = shifted_conjugate(nu)
+        coeff = det_in_ring([[math.comb(r, c) for c in cols] for r in rows], 1)
+        if coeff:
+            total = total + schur(Partition(nu), rank) * coeff
+    return total
 
 
 def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:
-    """Coefficient of the order-th twist power in the twisted Schur class.
+    """Coefficient of ``c_1(L)^order`` in ``s_mu(E (x) L)``.
 
-    Substitutes the twisted Chern classes into the Schur determinant,
-    expands, and extracts the requested twist-variable coefficient; the
+    Lascoux's nonnegative sum of Schur classes (module docstring); the
     result has grade ``|mu| - order``.
     """
     mu.require_rank(rank)
@@ -420,5 +379,4 @@ def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:
         raise ValidationError(
             f"derived order {order} out of range 0..{mu.weight}"
         )
-    twisted = _jacobi_trudi_cached(mu.parts, rank, True)
-    return twisted.twist_coefficient(order)
+    return _derived_schur_cached(mu.parts, rank, order)

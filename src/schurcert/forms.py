@@ -448,7 +448,8 @@ def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
             f"Schur form of weight {lam.weight} vanishes beyond dimension {dim}"
         )
     one = PQForm.one(dim)
-    return evaluate(schur_poly(lam, e), elementary_symmetric(omegas, one), one)
+    cherns = elementary_symmetric(omegas, one, top=lam.weight)
+    return evaluate(schur_poly(lam, e), cherns, one)
 
 
 Term = tuple[int, int, int, int]  # (j, k, re, im): (re + im*i) dz_j dzbar_k, 0-based

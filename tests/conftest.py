@@ -134,65 +134,103 @@ def chern_by_subsets(bundle, p: int):
     return total
 
 
-def substitute(
-    poly: ChernPoly,
-    c_images: Mapping[int, ChernPoly],
-    extra_images: Sequence[ChernPoly] = (),
-) -> ChernPoly:
-    """Evaluate ``poly`` at images of the generators and twist variables.
+class TwistPoly:
+    """Polynomial in one formal degree-1 twist variable ``d`` over
+    ``ChernPoly``: a map from each power of ``d`` to its coefficient.
 
-    All images must live in one common algebra; image of ``c_k`` must be
-    homogeneous of grade k, images of twist variables of grade 1.
+    It carries the twisted route to derived Schur classes, the oracle for
+    Lascoux's formula in ``chernpoly``, and supports what ``det_in_ring``
+    and ``evaluate`` need.
     """
-    images = list(c_images.values()) + list(extra_images)
-    if not images:
-        raise ValidationError("substitution needs at least one image")
-    rank, nextra = images[0].rank, images[0].nextra
-    for img in images:
-        if img.rank != rank or img.nextra != nextra:
-            raise ValidationError("substitution images live in different algebras")
-    for k, img in c_images.items():
-        if img.terms and img.grade != k:
-            raise ValidationError(f"image of c_{k} must have grade {k}")
-    for img in extra_images:
-        if img.terms and img.grade != 1:
-            raise ValidationError("twist-variable images must have grade 1")
-    for cs, _extras in poly.terms:
-        for k in cs:
-            if k not in c_images:
-                raise ValidationError(f"no image supplied for c_{k}")
-    if not poly.terms:
-        return ChernPoly.zero(rank, nextra)
-    return evaluate(poly, c_images, ChernPoly.one(rank, nextra), extra_images)
+
+    def __init__(self, rank: int, coeffs: Mapping[int, ChernPoly]):
+        self.rank = rank
+        self.coeffs = {k: p for k, p in coeffs.items() if p}
+
+    @classmethod
+    def one(cls, rank: int) -> "TwistPoly":
+        return cls(rank, {0: ChernPoly.one(rank)})
+
+    @classmethod
+    def d(cls, rank: int) -> "TwistPoly":
+        return cls(rank, {1: ChernPoly.one(rank)})
+
+    def coefficient(self, power: int) -> ChernPoly:
+        return self.coeffs.get(power, ChernPoly.zero(self.rank))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "TwistPoly") -> "TwistPoly":
+        merged = dict(self.coeffs)
+        for k, p in other.coeffs.items():
+            merged[k] = merged[k] + p if k in merged else p
+        return TwistPoly(self.rank, merged)
+
+    def __neg__(self) -> "TwistPoly":
+        return TwistPoly(self.rank, {k: -p for k, p in self.coeffs.items()})
+
+    def __sub__(self, other: "TwistPoly") -> "TwistPoly":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, TwistPoly):
+            return TwistPoly(self.rank, {k: p * other for k, p in self.coeffs.items()})
+        out: dict[int, ChernPoly] = {}
+        for k1, p1 in self.coeffs.items():
+            for k2, p2 in other.coeffs.items():
+                k = k1 + k2
+                out[k] = out[k] + p1 * p2 if k in out else p1 * p2
+        return TwistPoly(self.rank, out)
+
+    def __pow__(self, n: int) -> "TwistPoly":
+        result = TwistPoly.one(self.rank)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return (self.rank, self.coeffs) == (other.rank, other.coeffs)
 
 
-def twist_var(rank: int, slot: int = 0, nextra: int = 1) -> ChernPoly:
-    """The degree-1 twist variable living in the given slot."""
-    if not 0 <= slot < nextra:
-        raise ValidationError(f"twist slot {slot} out of range for nextra={nextra}")
-    extras = tuple(1 if i == slot else 0 for i in range(nextra))
-    return ChernPoly(rank, {((), extras): Fraction(1)}, nextra)
+def twisted_chern(p: int, rank: int) -> TwistPoly:
+    """c_p of a bundle twisted by a line bundle with c_1 = d: the p-th
+    elementary symmetric polynomial of the shifted roots x_i + d, which is
+    ``sum_k binom(rank-k, p-k) c_k d^(p-k)``."""
+    if p < 0 or p > rank:
+        raise ValidationError(f"twisted Chern degree {p} out of range 0..{rank}")
+    return TwistPoly(
+        rank,
+        {p - k: ChernPoly.generator(rank, k) * math.comb(rank - k, p - k)
+         for k in range(p + 1)},
+    )
 
 
-def promote(poly: ChernPoly, nextra: int, slots: Sequence[int] | None = None) -> ChernPoly:
-    """Reinterpret ``poly`` in an algebra with ``nextra`` twist variables.
+def on_twisted_generators(poly: ChernPoly, rank: int) -> TwistPoly:
+    """``poly`` with every c_k replaced by its twisted counterpart."""
+    one = TwistPoly.one(rank)
+    images = [one] + [twisted_chern(k, rank) for k in range(1, rank + 1)]
+    return evaluate(poly, images, one) if poly else TwistPoly(rank, {})
 
-    ``slots[i]`` is the destination of the current i-th twist variable;
-    by default existing variables keep their positions.
-    """
-    if slots is None:
-        slots = tuple(range(poly.nextra))
-    if len(slots) != poly.nextra or len(set(slots)) != len(slots):
-        raise ValidationError("bad slot assignment")
-    if any(s < 0 or s >= nextra for s in slots):
-        raise ValidationError("slot out of range")
-    out = {}
-    for (cs, extras), coeff in poly.terms.items():
-        new = [0] * nextra
-        for i, e in enumerate(extras):
-            new[slots[i]] = e
-        out[(cs, tuple(new))] = coeff
-    return ChernPoly(poly.rank, out, nextra)
+
+@lru_cache(maxsize=None)
+def _twisted_schur(mu: Partition, rank: int) -> TwistPoly:
+    n = len(mu)
+    rows = [
+        [
+            twisted_chern(m, rank) if 0 <= m <= rank else TwistPoly(rank, {})
+            for m in (mu.parts[i] + j - i for j in range(n))
+        ]
+        for i in range(n)
+    ]
+    return det_in_ring(rows, TwistPoly.one(rank))
+
+
+def derived_schur_oracle(mu: Partition, rank: int, order: int) -> ChernPoly:
+    """The derived Schur class by the twisted route: the Schur determinant
+    with every c_k replaced by its twisted counterpart, expanded over
+    ``TwistPoly``, and the coefficient of d^order read off."""
+    return _twisted_schur(mu, rank).coefficient(order)
 
 
 def segre_derived(rank: int, order: int) -> ChernPoly:

@@ -9,7 +9,13 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import partitions_of, promote, schur_bialternant_oracle, substitute, twist_var
+from conftest import (
+    TwistPoly,
+    derived_schur_oracle,
+    on_twisted_generators,
+    partitions_of,
+    schur_bialternant_oracle,
+)
 from instances import (
     random_ample_bundle,
     random_ample_class,
@@ -29,8 +35,6 @@ from schurcert.certify import (
     schur_logconcavity_report,
 )
 from schurcert.chernpoly import (
-    ChernPoly,
-    chern_of_twist,
     derived_schur,
     schur,
 )
@@ -267,7 +271,7 @@ def _elementary_values(xs):
 
 def _poly_at_points(poly, elem):
     total = Fraction(0)
-    for (cs, _extras), coeff in poly.terms.items():
+    for cs, coeff in poly.terms.items():
         total += coeff * math.prod((elem[k] for k in cs), start=Fraction(1))
     return total
 
@@ -298,38 +302,28 @@ def test_criterion_10_oracle_equivalence():
         checked += 1
     assert checked >= 200
 
-    # Twist composition as a two-variable polynomial identity, e <= 4.
+    # Derived classes (Lascoux's sum) against the twisted determinant,
+    # e <= 4 and |mu| <= 4.
     for e in range(1, 5):
-        c_imgs = {
-            k: promote(chern_of_twist(k, e), 2, slots=(0,)) for k in range(1, e + 1)
-        }
-        u = twist_var(e, slot=1, nextra=2)
-        dv = twist_var(e, slot=0, nextra=2)
-        ident = {k: ChernPoly.generator(e, k, nextra=2) for k in range(1, e + 1)}
-        for p in range(0, e + 1):
-            lhs = substitute(chern_of_twist(p, e), c_imgs, extra_images=[u])
-            rhs = substitute(chern_of_twist(p, e), ident, extra_images=[dv + u])
-            if lhs != rhs:
-                failures.append(f"twist composition fails at p={p}, e={e}")
-
-    # Shift identity for all |mu| <= 4, e <= 4.
-    for e in range(1, 5):
-        ctw = {k: chern_of_twist(k, e) for k in range(1, e + 1)}
-        dvar = twist_var(e)
         for weight in range(0, 5):
             for mu in partitions_of(weight, e):
                 for i in range(weight + 1):
-                    si = derived_schur(mu, e, i)
-                    lhs = (
-                        substitute(si, ctw, extra_images=[])
-                        if si.terms
-                        else ChernPoly.zero(e, 1)
+                    if derived_schur(mu, e, i) != derived_schur_oracle(mu, e, i):
+                        failures.append(
+                            f"derived class differs at mu={mu.format()}, e={e}, i={i}"
+                        )
+
+    # Shift identity over the twist variable d, for all |mu| <= 4, e <= 4.
+    for e in range(1, 5):
+        for weight in range(0, 5):
+            for mu in partitions_of(weight, e):
+                for i in range(weight + 1):
+                    lhs = on_twisted_generators(derived_schur(mu, e, i), e)
+                    rhs = TwistPoly(
+                        e,
+                        {k - i: derived_schur(mu, e, k) * math.comb(k, i)
+                         for k in range(i, weight + 1)},
                     )
-                    rhs = ChernPoly.zero(e, 1)
-                    for k in range(i, weight + 1):
-                        rhs = rhs + promote(derived_schur(mu, e, k), 1) * math.comb(
-                            k, i
-                        ) * dvar ** (k - i)
                     if lhs != rhs:
                         failures.append(
                             f"shift identity fails at mu={mu.format()}, e={e}, i={i}"

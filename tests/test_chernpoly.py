@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    TwistPoly,
+    derived_schur_oracle,
+    on_twisted_generators,
     partitions_of,
-    promote,
     schur_bialternant_oracle,
     segre_derived,
     ssyt_contents,
-    substitute,
-    twist_var,
+    twisted_chern,
 )
 
 from schurcert.chernpoly import (
     ChernPoly,
-    chern_of_twist,
     derived_schur,
     det_in_ring,
     elementary_symmetric,
@@ -25,7 +25,9 @@ from schurcert.chernpoly import (
     schur,
 )
 from schurcert.errors import ValidationError
+from schurcert.forms import PQForm
 from schurcert.partitions import Partition
+from schurcert.rings import proj
 
 
 def c(k, e):
@@ -59,30 +61,9 @@ class TestSchur:
                     plain = jacobi_trudi(lam.parts, e)
                     padded = jacobi_trudi(lam.parts + (0, 0), e)
                     assert plain == padded
-                    tw = jacobi_trudi(lam.parts, e, twisted=True)
-                    tw_padded = jacobi_trudi(lam.parts + (0, 0), e, twisted=True)
-                    assert tw == tw_padded
 
 
 class TestChernOfTwist:
-    def test_paper_examples(self):
-        e3 = chern_of_twist(1, 3)
-        d = twist_var(3)
-        assert e3 == ChernPoly.generator(3, 1, nextra=1) + d * 3
-        assert chern_of_twist(0, 5) == ChernPoly.one(5, nextra=1)
-        d2 = twist_var(2)
-        assert chern_of_twist(2, 2) == (
-            ChernPoly.generator(2, 2, nextra=1)
-            + ChernPoly.generator(2, 1, nextra=1) * d2
-            + d2 * d2
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            chern_of_twist(4, 3)
-        with pytest.raises(ValidationError):
-            chern_of_twist(-1, 3)
-
     def test_matches_shifted_elementary_symmetric_at_points(self):
         # e_p(x_i + t) computed by brute force at rational points.
         rng = random.Random(11)
@@ -105,25 +86,26 @@ class TestChernOfTwist:
                 else Fraction(1)
                 for k in range(e + 1)
             }
-            poly = chern_of_twist(p, e)
             value = sum(
-                coeff * math.prod([elem[k] for k in cs] + [t] * extras[0])
-                for (cs, extras), coeff in poly.terms.items()
+                coeff * math.prod([elem[k] for k in cs] + [t] * power)
+                for power, poly in twisted_chern(p, e).coeffs.items()
+                for cs, coeff in poly.terms.items()
             )
             assert value == brute
 
     def test_twist_composition(self):
-        # Twisting twice by two formal variables equals one twist by their sum.
+        # Twisting twice by d equals one twist by 2d.
         for e in range(1, 5):
-            c_imgs = {
-                k: promote(chern_of_twist(k, e), 2, slots=(0,)) for k in range(1, e + 1)
-            }
-            u = twist_var(e, slot=1, nextra=2)
-            dv = twist_var(e, slot=0, nextra=2)
-            ident = {k: ChernPoly.generator(e, k, nextra=2) for k in range(1, e + 1)}
+            d = TwistPoly.d(e)
             for p in range(0, e + 1):
-                lhs = substitute(chern_of_twist(p, e), c_imgs, extra_images=[u])
-                rhs = substitute(chern_of_twist(p, e), ident, extra_images=[dv + u])
+                lhs = TwistPoly(e, {})
+                for power, poly in twisted_chern(p, e).coeffs.items():
+                    lhs = lhs + on_twisted_generators(poly, e) * d**power
+                rhs = TwistPoly(
+                    e,
+                    {p - k: c(k, e) * (math.comb(e - k, p - k) * 2 ** (p - k))
+                     for k in range(p + 1)},
+                )
                 assert lhs == rhs
 
 
@@ -158,22 +140,32 @@ class TestDerivedSchur:
     def test_shift_identity(self):
         # s_mu^(i) on twisted generators == sum_k binom(k,i) s_mu^(k) d^(k-i).
         for e in range(1, 5):
-            ctw = {k: chern_of_twist(k, e) for k in range(1, e + 1)}
-            dvar = twist_var(e)
             for w in range(0, 5):
                 for mu in partitions_of(w, e):
                     for i in range(w + 1):
-                        si = derived_schur(mu, e, i)
-                        if si.is_zero():
-                            lhs = ChernPoly.zero(e, 1)
-                        else:
-                            lhs = substitute(si, ctw, extra_images=[])
-                        rhs = ChernPoly.zero(e, 1)
-                        for k in range(i, w + 1):
-                            rhs = rhs + promote(derived_schur(mu, e, k), 1) * math.comb(
-                                k, i
-                            ) * dvar ** (k - i)
+                        lhs = on_twisted_generators(derived_schur(mu, e, i), e)
+                        rhs = TwistPoly(
+                            e,
+                            {k - i: derived_schur(mu, e, k) * math.comb(k, i)
+                             for k in range(i, w + 1)},
+                        )
                         assert lhs == rhs
+
+    def test_matches_twisted_oracle(self):
+        cases = 0
+        for e in range(1, 7):
+            for w in range(0, 8):
+                for mu in partitions_of(w, e):
+                    for k in range(w + 1):
+                        assert derived_schur(mu, e, k) == derived_schur_oracle(mu, e, k)
+                        cases += 1
+        assert cases == 1102
+
+    def test_lascoux_coefficients(self):
+        # s_(2,1)(E (x) L) at order 1: 4 s_(2) + 2 s_(1,1).
+        assert derived_schur(Partition([2, 1]), 3, 1) == (
+            schur(Partition([2]), 3) * 4 + schur(Partition([1, 1]), 3) * 2
+        )
 
 
 class TestSegreDerived:
@@ -229,7 +221,7 @@ class TestBialternantOracle:
             poly = schur(lam, e)
             via_jt = sum(
                 (coeff * math.prod([elem[k] for k in cs], start=Fraction(1))
-                 for (cs, _), coeff in poly.terms.items()),
+                 for cs, coeff in poly.terms.items()),
                 Fraction(0),
             )
             assert via_jt == schur_bialternant_oracle(lam, xs)
@@ -251,7 +243,7 @@ class TestSSYTOracle:
                     poly = schur(lam, e)
                     at_ones = sum(
                         (coeff * math.prod([elem[k] for k in cs], start=Fraction(1))
-                         for (cs, _), coeff in poly.terms.items()),
+                         for cs, coeff in poly.terms.items()),
                         Fraction(0),
                     )
                     assert count == at_ones
@@ -285,7 +277,7 @@ class TestAlgebra:
         with pytest.raises(ValidationError):
             c(1, e) + c(2, e)
         with pytest.raises(ValidationError):
-            ChernPoly(e, {((1,), ()): Fraction(1), ((2,), ()): Fraction(1)})
+            ChernPoly(e, {(1,): Fraction(1), (2,): Fraction(1)})
 
     def test_zero_is_compatible_with_any_grade(self):
         z = ChernPoly.zero(3)
@@ -301,13 +293,7 @@ class TestAlgebra:
         with pytest.raises(ValidationError):
             c(1, 3) + c(1, 4)
         with pytest.raises(ValidationError):
-            c(1, 3) * ChernPoly.one(3, nextra=1)
-
-    def test_twist_coefficient_extraction(self):
-        p = chern_of_twist(2, 3)
-        assert p.twist_coefficient(0) == c(2, 3)
-        assert p.twist_coefficient(1) == c(1, 3) * 2
-        assert p.twist_coefficient(2) == ChernPoly.const(3, 3)
+            c(1, 3) * c(1, 4)
 
     def test_det_in_ring_matches_fraction_determinant(self):
         rng = random.Random(3)
@@ -330,6 +316,53 @@ class TestAlgebra:
             assert got == cof(m)
 
 
+def _oneone_form(rng, dim):
+    form = PQForm.zero(dim, 1, 1)
+    for j in range(1, dim + 1):
+        for k in range(1, dim + 1):
+            form = form + PQForm.dz_dzbar(dim, j, k, rng.randint(-3, 3))
+    return form
+
+
+class TestDetInGradedRings:
+    """Determinants whose entries carry a grade: every sum must start from
+    a term of its own grade, never from a grade-0 zero."""
+
+    def test_forms_2x2(self):
+        rng = random.Random(7)
+        a, b, c_, d = (_oneone_form(rng, 3) for _ in range(4))
+        got = det_in_ring([[a, b], [c_, d]], PQForm.one(3))
+        assert (got.p, got.q) == (2, 2)
+        assert got == a * d - b * c_
+
+    def test_forms_3x3_with_zero_minor(self):
+        # The minors on columns {2,3} and {1,3} of the last two rows have
+        # no nonzero term; only the third column survives.
+        rng = random.Random(8)
+        a, b, c_, d, e, g, h = (_oneone_form(rng, 3) for _ in range(7))
+        z = PQForm.zero(3, 1, 1)
+        got = det_in_ring([[a, b, c_], [d, e, z], [g, h, z]], PQForm.one(3))
+        assert (got.p, got.q) == (3, 3)
+        assert got == c_ * (d * h - e * g)
+        assert got
+
+    def test_classes_2x2_and_3x3(self):
+        model = proj(2, 2)
+        x1, x2 = model.generator(0), model.generator(1)
+        got = det_in_ring([[x1, x2], [x2, x1]], model.one())
+        assert got.grade == 2
+        assert got == x1 * x1 - x2 * x2
+        z = model.zero(1)
+        s = x1 + x2
+        got = det_in_ring([[x1, x2, s], [x2, x1, z], [x1, s, z]], model.one())
+        assert got.grade == 3
+        assert got == s * (x2 * s - x1 * x1)
+
+    def test_determinant_without_terms_is_zero(self):
+        z = PQForm.zero(3, 1, 1)
+        assert not det_in_ring([[z, z], [z, z]], PQForm.one(3))
+
+
 class TestRingHelpers:
     def test_elementary_symmetric_of_integers(self):
         assert elementary_symmetric([2, 3, 5], 1) == [1, 10, 31, 30]
@@ -340,8 +373,12 @@ class TestRingHelpers:
         assert evaluate(ChernPoly.const(3, Fraction(1, 2)), es, 1) == Fraction(1, 2)
         with pytest.raises(ValidationError):
             evaluate(ChernPoly.zero(3), es, 1)
-        with pytest.raises(ValidationError):
-            evaluate(chern_of_twist(1, 3), es, 1)  # no image for the twist
+
+    def test_elementary_symmetric_stops_at_top(self):
+        xs = [2, 3, 5, 7]
+        full = elementary_symmetric(xs, 1)
+        for top in range(0, 6):
+            assert elementary_symmetric(xs, 1, top=top) == full[: top + 1]
 
 
 class TestFormatting:
@@ -350,8 +387,6 @@ class TestFormatting:
         assert format_poly(derived_schur(Partition([1, 1, 1]), 3, 2)) == "10*c1"
         assert format_poly(schur(Partition([0]), 5)) == "1"
         assert format_poly(schur(Partition([1, 1, 1]), 3)) == "c1^3 - 2*c1*c2 + c3"
-        assert format_poly(chern_of_twist(1, 3)) == "c1 + 3*d"
-        assert format_poly(chern_of_twist(2, 2)) == "c2 + c1*d + d^2"
         assert format_poly(ChernPoly.zero(4)) == "0"
 
     def test_fraction_coefficients(self):
