@@ -234,7 +234,8 @@ def det_in_ring(matrix: Sequence[Sequence], one):
     column subset of size n-i, so the memo key is the subset alone.  A sum
     starts from its first term, so graded entries (forms, classes) are only
     added in their own grade: a minor without terms is ``None`` and drops
-    out, and ``one * 0`` stands for a determinant without terms.
+    out.  A determinant without terms is the diagonal product times 0: every
+    term of a homogeneous determinant has the grade of that product.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -266,7 +267,9 @@ def det_in_ring(matrix: Sequence[Sequence], one):
         return acc
 
     det = minor(0, (1 << n) - 1)
-    return one * 0 if det is None else det
+    if det is None:
+        return math.prod((matrix[i][i] for i in range(n)), start=one) * 0
+    return det
 
 
 def elementary_symmetric(xs: Sequence, one, top: int | None = None) -> list:

@@ -11,7 +11,7 @@ denominator (see :class:`PQForm`), so wedge products, sums, top integrals
 and Gram entries are integer arithmetic.  ``GaussianRational`` appears only
 where forms meet caller data: the coefficients and matrix entries that the
 constructors (``hermitian_form`` among them) and scalar multiplication
-take, and the values of ``coefficient`` and ``wedge_top_coefficient``.
+take, and the values of ``coefficient``.
 
 Conventions, validated by tests before anything is built on them:
 
@@ -22,7 +22,8 @@ Conventions, validated by tests before anything is built on them:
   verdicts are invariant under any positive rescaling of the integral, so
   this choice is harmless.
 
-The Hodge-Riemann pairing is read off omega, not wedged.  For a
+The Hodge-Riemann pairing is read off omega, not wedged; this lookup is the
+only shortcut to a top coefficient (``wedge_top_coefficient`` wedges).  For a
 (d-2,d-2)-form omega and 0-based indices j, k, l, m, the only term of omega
 that survives in dz_j dzbar_k wedge omega wedge dz_l dzbar_m is the one at
 I = [d] - {j, l}, J = [d] - {k, m}, so the product is 0 unless j != l and
@@ -299,39 +300,10 @@ def wedge(a: PQForm, b: PQForm) -> PQForm:
     return PQForm._from_numerators(dim, a.p + b.p, a.q + b.q, nums, a.den * b.den)
 
 
-def _top_numerators(a: PQForm, b: PQForm) -> Pair:
-    """Numerators, over a.den * b.den, of the coefficient of
-    dz_{1..d} dzbar_{1..d} in a wedge b, found by looking up the
-    complement of each term of the smaller form in the larger."""
-    dim = a.dim
-    full = (1 << dim) - 1
-    odd = (a.q * b.p) & 1
-    small, large = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    total_re = total_im = 0
-    for (i, j), (r1, m1) in small.coeffs.items():
-        c2 = large.coeffs.get((full ^ i, full ^ j))
-        if c2 is None:
-            continue
-        r2, m2 = c2
-        re, im = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
-        if small is b:
-            i, j = full ^ i, full ^ j
-        shuffles = (_above_parity(i, dim) & ~i).bit_count()
-        shuffles += (_above_parity(j, dim) & ~j).bit_count()
-        if (odd + shuffles) & 1:
-            re, im = -re, -im
-        total_re += re
-        total_im += im
-    return total_re, total_im
-
-
 def wedge_top_coefficient(a: PQForm, b: PQForm) -> GaussianRational:
-    """Coefficient of dz_{1..d} dzbar_{1..d} in a wedge b, without expanding."""
-    if a.dim != b.dim:
-        raise ValidationError("forms live on different dimensions")
-    re, im = _top_numerators(a, b)
-    den = a.den * b.den
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    """Coefficient of dz_{1..d} dzbar_{1..d} in a wedge b."""
+    full = (1 << a.dim) - 1
+    return wedge(a, b).coefficient((full, full))
 
 
 def _volume_unit(dim: int) -> Pair:

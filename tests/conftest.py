@@ -583,6 +583,20 @@ def congruence_diagonal_oracle(matrix) -> tuple[list[Fraction], int]:
     return diag + [Fraction(0)] * len(live), splits
 
 
+def chord_strict_oracle(values) -> bool:
+    """Strict log-concavity of a positive sequence by the full chord
+    condition f(i)^(k-j) f(k)^(j-i) < f(j)^(k-i) for all i < j < k: every
+    triple, where ``certify`` checks only adjacent ones."""
+    vals = [Fraction(v) for v in values]
+    n = len(vals)
+    return all(
+        vals[i] ** (k - j) * vals[k] ** (j - i) < vals[j] ** (k - i)
+        for i in range(n)
+        for k in range(i + 2, n)
+        for j in range(i + 1, k)
+    )
+
+
 @pytest.fixture
 def gaussian():
     return GaussianRational

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import (
     TwistPoly,
+    chord_strict_oracle,
     derived_schur_oracle,
     on_twisted_generators,
     partitions_of,
@@ -225,9 +226,9 @@ def test_criterion_08_schur_number_logconcavity():
         rep = schur_logconcavity_report(bundle, mu, h)
         if not rep.positive:
             failures.append(f"trial {trial}: nonpositive value {rep.values}")
-        if not rep.midpoint_ok:
+        if not rep.strict:
             failures.append(f"trial {trial}: midpoint inequality fails {rep.values}")
-        if not rep.chord_ok:
+        if not chord_strict_oracle(rep.values):
             failures.append(f"trial {trial}: chord condition fails {rep.values}")
         checked += 1
     assert checked >= 25

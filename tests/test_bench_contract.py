@@ -3,8 +3,8 @@
 ``bench/*.py`` is loaded by path and only read.  Every entry of the
 tracer's ``TARGETS`` table must still name a callable in
 ``schurcert.<layer>``, the sizes it reads off arguments and results must
-still be there, and every seed-1 verdict must still match the committed
-reference (``--trace 1`` and the pass ratio depend on these).
+still be there, and every verdict of seeds 1 and 2 must still match the
+committed reference (``--trace 1`` and the pass ratio depend on these).
 """
 
 import importlib
@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -96,17 +98,19 @@ def test_traced_hr_check_reads_form_sizes_gram_bits_and_gaussian_count(tmp_path)
     assert result["gaussian.new"] >= 0
 
 
-def test_benchmark_seed_1_references_hold(tmp_path):
-    # Every seed-1 verdict, API ones included, run the way the benchmark's
-    # worker runs it, passes the benchmark's own check against the committed
-    # reference: exit code and every stdout line.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_references_hold(tmp_path, seed):
+    # Every verdict of the seed, API ones included, run the way the
+    # benchmark's worker runs it, passes the benchmark's own check against
+    # the committed reference: exit code and every stdout line.  Seed 2 is
+    # the held-out seed.
     gen, checks, worker = (_load_bench(name) for name in ("gen", "checks", "worker"))
     runner = worker.Runner()
     failures, ran = [], 0
     for workload in gen.WORKLOADS:
         workdir = tmp_path / workload
-        data = json.loads(json.dumps(gen.generate(workload, 1, workdir)))
-        reference = checks.load_reference(workload, 1)
+        data = json.loads(json.dumps(gen.generate(workload, seed, workdir)))
+        reference = checks.load_reference(workload, seed)
         for verdict in data["warmup"] + data["pool"]:
             code, lines = runner.run(worker._prepare(verdict, workdir))
             expected = reference.get(verdict["id"], checks.MISSING)

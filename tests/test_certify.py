@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-
+from conftest import chord_strict_oracle
 from instances import (
     invert_matrix,
     random_ample_bundle,
@@ -181,9 +181,13 @@ class TestNef2:
 
 class TestDiscreteLogconcave:
     def test_spec_examples(self):
-        assert discrete_logconcave([1, 2, 3, 2, 1])
-        assert not discrete_logconcave([1, 1, 1])
-        assert discrete_logconcave([1, 4, 6, 4, 1])
+        for vals, expected in (
+            ([1, 2, 3, 2, 1], True),
+            ([1, 1, 1], False),
+            ([1, 4, 6, 4, 1], True),
+        ):
+            assert discrete_logconcave(vals) is expected
+            assert chord_strict_oracle(vals) is expected
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValidationError):
@@ -198,8 +202,8 @@ class TestDiscreteLogconcave:
             mid = all(
                 vals[i - 1] ** 2 > vals[i] * vals[i - 2] for i in range(2, len(vals))
             )
-            if mid:
-                assert discrete_logconcave(vals)
+            assert discrete_logconcave(vals) is mid
+            assert chord_strict_oracle(vals) is mid
 
 
 class TestLogconcavityReport:
@@ -255,6 +259,7 @@ class TestKhovanskiiTeissier:
             seq = khovanskii_teissier_sequence(alpha, beta)
             assert all(v > 0 for v in seq)
             assert discrete_logconcave(seq)
+            assert chord_strict_oracle(seq)
 
     def test_proportional_pair_is_borderline(self):
         m = proj(2, 2)

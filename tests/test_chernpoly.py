@@ -359,8 +359,21 @@ class TestDetInGradedRings:
         assert got == s * (x2 * s - x1 * x1)
 
     def test_determinant_without_terms_is_zero(self):
+        # The zero has the grade of the diagonal product, so it adds to the
+        # nonzero determinants of that grade.
         z = PQForm.zero(3, 1, 1)
-        assert not det_in_ring([[z, z], [z, z]], PQForm.one(3))
+        got = det_in_ring([[z, z], [z, z]], PQForm.one(3))
+        assert not got
+        assert (got.p, got.q) == (2, 2)
+        w = _oneone_form(random.Random(9), 3)
+        assert got + w * w == w * w
+        model = proj(2, 2)
+        zc = model.zero(1)
+        got = det_in_ring([[zc, zc], [zc, zc]], model.one())
+        assert not got
+        assert got.grade == 2
+        x1, x2 = model.generator(0), model.generator(1)
+        assert got + x1 * x2 == x1 * x2
 
 
 class TestRingHelpers:

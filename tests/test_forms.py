@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    GaussianForm,
+    _top_coefficient_oracle,
     gaussian_coefficients,
     positive_definite_by_minors,
     real_oneone_basis,
@@ -121,9 +123,8 @@ class TestWedgeSigns:
             dim = rng.randint(2, 4)
             a = random_form(rng, dim, 1, 1)
             b = random_form(rng, dim, dim - 1, dim - 1)
-            full = (1 << dim) - 1
-            direct = wedge(a, b).coefficient((full, full))
-            assert wedge_top_coefficient(a, b) == direct
+            expected = _top_coefficient_oracle(GaussianForm.of(a), GaussianForm.of(b))
+            assert wedge_top_coefficient(a, b) == expected
 
 
 class TestReality:
