@@ -12,13 +12,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chernpoly import det_in_ring
-from .errors import HypothesisError, PreconditionError, ValidationError, exact_rational
-from .inertia import (
-    inertia_triple,
-    quadratic_value,
-    rational_det,
-    restrict_to_kernel,
-)
+from .errors import PreconditionError, ValidationError, exact_rational
+from .inertia import inertia_triple, quadratic_value, rational_det
 from .partitions import Partition
 from .qpoly import QPoly, count_real_roots, isolate_real_root, nonneg_on_reals
 from .rings import (
@@ -45,50 +40,41 @@ class HodgeIndexResult:
     rhs: Fraction  # Q(v, h)^2
     holds: bool
     equality: bool
-    proportional: bool
+    proportional: bool  # always equals ``equality``; the benchmark prints both
     witness: Fraction | None  # v = witness * h when proportional
-
-
-def _proportionality_witness(v, h) -> Fraction | None:
-    """kappa with v = kappa * h, or None."""
-    v = [exact_rational(x) for x in v]
-    h = [exact_rational(x) for x in h]
-    if all(x == 0 for x in v):
-        return Fraction(0)
-    pivot = next((i for i, x in enumerate(h) if x != 0), None)
-    if pivot is None:
-        return None
-    kappa = v[pivot] / h[pivot]
-    return kappa if all(v[i] == kappa * h[i] for i in range(len(v))) else None
 
 
 def hodge_index_check(q: Matrix, h: Sequence[Fraction], v: Sequence[Fraction]) -> HodgeIndexResult:
     """Certify Q(v) Q(h) <= Q(v,h)^2 under verified hypotheses.
 
-    Requires (and checks) that Q has inertia (1, 0, n-1) and Q(h) > 0;
-    equality is reported together with a proportionality witness.
+    Requires (and checks) that Q has inertia (1, 0, n-1) and Q(h) > 0.
+    Then equality holds iff v is proportional to h, with witness
+    Q(v,h) / Q(h): write v = kappa h + w with kappa = Q(v,h) / Q(h), so
+    Q(h,w) = 0 and Q(v) Q(h) - Q(v,h)^2 = Q(w) Q(h).  Q is positive on h
+    and has one positive direction, so it is negative definite on h^perp,
+    hence Q(w) <= 0 with equality iff w = 0, that is iff v = kappa h.
     """
     n = len(q)
     triple = inertia_triple(q)
     if triple != (1, 0, n - 1):
-        raise HypothesisError(
-            "form does not have the required (1, 0, n-1) signature", triple
+        raise PreconditionError(
+            f"form does not have the required (1, 0, n-1) signature (inertia={triple})"
         )
     qh = quadratic_value(q, h)
     if qh <= 0:
-        raise HypothesisError(f"Q(h) = {qh} is not positive")
+        raise PreconditionError(f"Q(h) = {qh} is not positive")
     qv = quadratic_value(q, v)
     qvh = quadratic_value(q, v, h)
     lhs = qv * qh
     rhs = qvh * qvh
-    witness = _proportionality_witness(v, h)
+    equality = lhs == rhs
     return HodgeIndexResult(
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs,
-        equality=lhs == rhs,
-        proportional=witness is not None,
-        witness=witness,
+        equality=equality,
+        proportional=equality,
+        witness=qvh / qh if equality else None,
     )
 
 
@@ -142,31 +128,33 @@ def block_form_check(inst: BlockFormInstance, v: Sequence[Fraction]) -> BlockFor
     """Certify Q_V(v) phi(h) <= 2 Q_V(v,h) phi(v) and the kernel conclusion.
 
     Hypotheses verified first: the extended pairing has inertia (1, 0, rho),
-    Q_V(h) > 0 and phi(h) > 0.  Also checks that Q_V restricted to ker(phi)
-    is negative definite, returning its inertia.
+    Q_V(h) > 0 and phi(h) > 0.  The inertia of Q_V on ker(phi) is read off
+    that triple: for phi != 0 the bordered matrix [[Q_V, phi], [phi^t, 0]]
+    has the inertia of Q_V on ker(phi) plus (1, 0, 1) (Chabrillac-Crouzeix
+    1984), and phi = 0 would give it a zero row.  So Q_V is negative
+    definite on ker(phi), with inertia (0, 0, rho - 1).
     """
     rho = inst.rho
     triple = inertia_triple(inst.q_w())
     if triple != (1, 0, rho):
-        raise HypothesisError(
-            "extended block form does not have signature (1, 0, rho)", triple
+        raise PreconditionError(
+            f"extended block form does not have signature (1, 0, rho) (inertia={triple})"
         )
     qvh_h = quadratic_value(inst.q_v, inst.h)
     if qvh_h <= 0:
-        raise HypothesisError(f"Q_V(h) = {qvh_h} is not positive")
+        raise PreconditionError(f"Q_V(h) = {qvh_h} is not positive")
     phi_h = inst.phi_of(inst.h)
     if phi_h <= 0:
-        raise HypothesisError(f"phi(h) = {phi_h} is not positive")
+        raise PreconditionError(f"phi(h) = {phi_h} is not positive")
     lhs = quadratic_value(inst.q_v, v) * phi_h
     rhs = 2 * quadratic_value(inst.q_v, v, inst.h) * inst.phi_of(v)
-    kernel_gram = restrict_to_kernel(inst.q_v, inst.phi)
     return BlockFormResult(
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs,
         equality=lhs == rhs,
         v_is_zero=all(x == 0 for x in v),
-        kernel_inertia=inertia_triple(kernel_gram),
+        kernel_inertia=(triple[0] - 1, triple[1], triple[2] - 1),
     )
 
 
@@ -240,12 +228,9 @@ def nef2_membership(c: Nef2Coefficients) -> Nef2Verdict:
     quartic_holds = nonneg_on_reals(margin)
     quartic_identically_zero = margin.is_zero()
     # Equality for the quartic condition: the margin touches zero somewhere.
-    if quartic_identically_zero:
-        quartic_equality = True
-    elif quartic_holds:
-        quartic_equality = margin.degree() > 0 and count_real_roots(margin) > 0
-    else:
-        quartic_equality = False
+    quartic_equality = quartic_identically_zero or (
+        quartic_holds and count_real_roots(margin) > 0
+    )
     conditions = (
         ("nonneg_a1_a3", c.a1 >= 0 and c.a3 >= 0, c.a1 == 0 or c.a3 == 0),
         ("a2_ge_a6", c.a2 >= c.a6, c.a2 == c.a6),
@@ -303,11 +288,9 @@ def _powers(x: GradedClass, n: int) -> list[GradedClass]:
 
 
 def _require_ample(bundle: SplitBundle, h: GradedClass) -> None:
-    if bundle.model.name != "proj":
-        raise PreconditionError("ampleness criterion needs a projective-product model")
     if not bundle.is_ample():
         raise PreconditionError("bundle fails the positivity (ampleness) criterion")
-    if h.grade != 1 or not all(n > 0 for n in h.nums):
+    if not bundle.model.is_ample(h):
         raise PreconditionError("reference class is not ample (positive degree-1)")
 
 

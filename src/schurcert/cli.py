@@ -190,18 +190,15 @@ def _cmd_hl_scan(args) -> list[str]:
 
 
 def _cmd_paper_repro(args) -> tuple[list[str], int]:
-    examples = repro.all_examples()
     if args.list:
-        lines = [f"{ex.example_id}: {ex.summary}" for ex in examples]
-        return lines, 0
+        return [f"{example_id}: {summary}" for example_id, summary, _ in repro.EXAMPLES], 0
     lines = []
     passed = True
-    for ex in examples:
-        outcome = ex.run()
-        passed = passed and outcome.ok
-        lines.append(f"example={ex.example_id} status={'pass' if outcome.ok else 'fail'}")
-        if not outcome.ok:
-            lines += [f"detail={detail}" for detail in outcome.details]
+    for example_id, _, check in repro.EXAMPLES:
+        failures = check()
+        passed = passed and not failures
+        lines.append(f"example={example_id} status={'fail' if failures else 'pass'}")
+        lines += [f"detail={detail}" for detail in failures]
     lines.append(f"overall={'pass' if passed else 'fail'}")
     return lines, 0 if passed else 1
 

@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: validation failures (malformed input)
 exit with 2, precondition failures (a hypothesis checked exactly and found
-false) with 3.  Any other exception, such as a ``ZeroDivisionError``, is an
-internal fault: the CLI lets it propagate instead of giving it an exit code.
+false) with 3.  A failed hypothesis is a plain ``PreconditionError`` whose
+message names what failed, such as the inertia triple found; no subclass
+carries it as a field.  Any other exception, such as a
+``ZeroDivisionError``, is an internal fault: the CLI lets it propagate
+instead of giving it an exit code.
 """
 
 from __future__ import annotations
@@ -30,16 +33,6 @@ class ScenarioError(ValidationError):
 
 class PreconditionError(SchurCertError):
     """A mathematically required hypothesis failed its (exact) check."""
-
-
-class HypothesisError(PreconditionError):
-    """Hypothesis failure that carries the offending inertia triple."""
-
-    def __init__(self, message: str, inertia=None):
-        if inertia is not None:
-            message = f"{message} (inertia={inertia})"
-        super().__init__(message)
-        self.inertia = inertia
 
 
 def exact_rational(x) -> Fraction:

@@ -406,7 +406,6 @@ def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
     """Schur form of a tuple of (1,1)-forms: the Chern determinant with
     c_k replaced by the k-th elementary symmetric wedge polynomial."""
     e = len(omegas)
-    lam.require_rank(e)
     if not omegas:
         raise ValidationError("need at least one form")
     dim = omegas[0].dim

@@ -1,14 +1,14 @@
 """The fixed-example suite behind the ``paper-repro`` subcommand.
 
 Each example is a named, self-contained exact computation with a frozen
-expected outcome; the suite passes only when every example does.  The
-registry is also exercised directly by the test suite.
+expected outcome.  ``EXAMPLES`` lists them as (id, summary, check) triples;
+a check returns the list of its failures, and the suite passes only when
+every list is empty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -29,25 +29,12 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class ReproOutcome:
-    ok: bool
-    details: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ReproExample:
-    example_id: str
-    summary: str
-    run: Callable[[], ReproOutcome]
-
-
 def _check(failures: list[str], ok: bool, label: str) -> None:
     if not ok:
         failures.append(label)
 
 
-def _signature_family() -> ReproOutcome:
+def _signature_family() -> list[str]:
     """Inertia of the two-square pencil on the 16-dim real (1,1) space."""
     w1 = diagonal_form([1, 1, 1, 1])
     w2 = diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2])
@@ -70,10 +57,10 @@ def _signature_family() -> ReproOutcome:
         rep = hodge_riemann_verdict(sq1 + sq2 * a, w1)
         _check(failures, rep.n_zero >= 1, f"a={a}: expected a degenerate pairing")
         _check(failures, not rep.hl_flag, f"a={a}: HL should fail")
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
-def _boundary_class_gram() -> ReproOutcome:
+def _boundary_class_gram() -> list[str]:
     """Gram matrix, inertia and cone membership of the boundary class."""
     model = abelian_square()
     coeffs = Nef2Coefficients.of(0, 8, 0, 0, 0, 3)
@@ -95,10 +82,10 @@ def _boundary_class_gram() -> ReproOutcome:
         verdict.quartic_identically_zero,
         "quartic margin should vanish identically on the boundary class",
     )
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
-def _hl_failure() -> ReproOutcome:
+def _hl_failure() -> list[str]:
     """Determinant signs and root isolation for the grade-2 pencil."""
     scan = hl_failure_scan(Fraction(1, 10**6))
     failures: list[str] = []
@@ -107,10 +94,10 @@ def _hl_failure() -> ReproOutcome:
     lo, hi = scan.interval
     _check(failures, lo > 0, f"isolated root should be positive, interval starts at {lo}")
     _check(failures, hi - lo < Fraction(1, 10**6), f"interval width {hi - lo} too large")
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
-def _pencil_gram_p2p3() -> ReproOutcome:
+def _pencil_gram_p2p3() -> list[str]:
     """The two-generator pencil Gram matrix, coefficient-wise in t."""
     model = proj(2, 3)
     a_cls, b_cls = model.generator(0), model.generator(1)
@@ -133,7 +120,7 @@ def _pencil_gram_p2p3() -> ReproOutcome:
     gt = [[g0[i][j] + t * slope[i][j] for j in range(2)] for i in range(2)]
     rep = inertia(gt)
     _check(failures, rep.triple == (2, 0, 0), f"inertia at t=1/4 is {rep.triple}")
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
 def _low_degree_identity_table(e: int) -> list[tuple[str, ChernPoly, ChernPoly]]:
@@ -179,15 +166,15 @@ def _low_degree_identity_table(e: int) -> list[tuple[str, ChernPoly, ChernPoly]]
     return table
 
 
-def _derived_schur_table() -> ReproOutcome:
+def _derived_schur_table() -> list[str]:
     failures: list[str] = []
     for e in (3, 4, 5):
         for label, got, want in _low_degree_identity_table(e):
             _check(failures, got == want, f"e={e}: {label}: {got} != {want}")
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
-def _quad_integral_table() -> ReproOutcome:
+def _quad_integral_table() -> list[str]:
     """The three nonzero quadruple integrals, and a vanishing one."""
     model = abelian_square()
     th1, th2, lam = (model.generator(i) for i in range(3))
@@ -201,42 +188,41 @@ def _quad_integral_table() -> ReproOutcome:
     for label, cls, want in cases:
         got = integrate(cls)
         _check(failures, got == want, f"{label}: {got} != {want}")
-    return ReproOutcome(not failures, tuple(failures))
+    return failures
 
 
-def all_examples() -> tuple[ReproExample, ...]:
-    return (
-        ReproExample(
-            "signature-family",
-            "inertia of the dim-4 two-square pencil over the real (1,1) space",
-            _signature_family,
-        ),
-        ReproExample(
-            "boundary-class-gram",
-            "Gram matrix, signature and cone membership of the boundary class "
-            "8*th1*th2 + 3*lam^2",
-            _boundary_class_gram,
-        ),
-        ReproExample(
-            "hl-failure-scan",
-            "grade-2 pencil on the triple projective plane: determinant signs "
-            "and an isolated singular parameter",
-            _hl_failure,
-        ),
-        ReproExample(
-            "pencil-gram-p2p3",
-            "two-generator pencil Gram matrix [[t,2t],[2t,1+2t]] and its "
-            "signature at t=1/4",
-            _pencil_gram_p2p3,
-        ),
-        ReproExample(
-            "derived-schur-table",
-            "all 20 low-degree derived-Schur identities at ranks 3, 4, 5",
-            _derived_schur_table,
-        ),
-        ReproExample(
-            "quad-integral-table",
-            "the hard-coded quadruple integrals of the abelian fourfold model",
-            _quad_integral_table,
-        ),
-    )
+EXAMPLES: tuple[tuple[str, str, Callable[[], list[str]]], ...] = (
+    (
+        "signature-family",
+        "inertia of the dim-4 two-square pencil over the real (1,1) space",
+        _signature_family,
+    ),
+    (
+        "boundary-class-gram",
+        "Gram matrix, signature and cone membership of the boundary class "
+        "8*th1*th2 + 3*lam^2",
+        _boundary_class_gram,
+    ),
+    (
+        "hl-failure-scan",
+        "grade-2 pencil on the triple projective plane: determinant signs "
+        "and an isolated singular parameter",
+        _hl_failure,
+    ),
+    (
+        "pencil-gram-p2p3",
+        "two-generator pencil Gram matrix [[t,2t],[2t,1+2t]] and its "
+        "signature at t=1/4",
+        _pencil_gram_p2p3,
+    ),
+    (
+        "derived-schur-table",
+        "all 20 low-degree derived-Schur identities at ranks 3, 4, 5",
+        _derived_schur_table,
+    ),
+    (
+        "quad-integral-table",
+        "the hard-coded quadruple integrals of the abelian fourfold model",
+        _quad_integral_table,
+    ),
+)

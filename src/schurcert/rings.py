@@ -14,9 +14,12 @@ models are built from data:
   hard-coded below.  No attempt is made to model an actual abelian surface;
   products are formal and everything follows from the three constants.
 
-A split bundle owns its Chern classes: the elementary-symmetric recurrence
-runs once, when the bundle is built, and its Chern, Schur and derived Schur
-classes are all evaluated at that one Chern vector.
+A split bundle keeps its twisted roots r + twist and owns its Chern
+classes: the elementary-symmetric recurrence runs once, when the bundle is
+built, and its Chern, Schur and derived Schur classes are all evaluated at
+that one Chern vector.  Ampleness has one owner, ``RingModel.is_ample``:
+on ``proj`` models a degree-1 class with strictly positive coefficients is
+ample, and no other model has a criterion.
 
 Classes are homogeneous by construction; mixed grades are unrepresentable
 and cross-grade addition is rejected.  All coefficients are exact
@@ -46,7 +49,7 @@ from typing import Mapping, Sequence
 
 from .chernpoly import ChernPoly, elementary_symmetric, evaluate, format_terms
 from .chernpoly import derived_schur as derived_poly, schur as schur_poly
-from .errors import ValidationError, exact_rational
+from .errors import PreconditionError, ValidationError, exact_rational
 from .partitions import Partition
 
 Monomial = tuple[int, ...]
@@ -113,6 +116,13 @@ class RingModel:
             )
             self._codes[grade] = (codes, {c: i for i, c in enumerate(codes)})
         return self._codes[grade]
+
+    def is_ample(self, cls: "GradedClass") -> bool:
+        """Sufficient ampleness criterion, on projective-product models only:
+        a degree-1 class with strictly positive basis coefficients."""
+        if self.name != "proj":
+            raise PreconditionError("ampleness criterion needs a projective-product model")
+        return cls.grade == 1 and all(n > 0 for n in cls.nums)
 
     # -- class constructors -------------------------------------------
 
@@ -351,12 +361,13 @@ def integrate(a: GradedClass) -> Fraction:
 class SplitBundle:
     """Direct sum of degree-1 classes ("roots"), with an optional twist.
 
-    The bundle owns its Chern classes: ``cherns[p]`` is c_p, the p-th
-    elementary symmetric class of the shifted roots, for p = 0..rank, all
-    computed once when the bundle is built.
+    The bundle keeps the twisted roots r + twist as ``roots`` and owns its
+    Chern classes: ``cherns[p]`` is c_p, the p-th elementary symmetric
+    class of the roots, for p = 0..rank, all computed once when the bundle
+    is built.
     """
 
-    __slots__ = ("model", "roots", "twist", "cherns")
+    __slots__ = ("model", "roots", "cherns")
 
     def __init__(
         self,
@@ -372,14 +383,13 @@ class SplitBundle:
                 raise ValidationError("root lives on a different model")
             if r.grade != 1:
                 raise ValidationError("roots must have grade 1")
-        if twist is None:
-            twist = model.zero(1)
-        if twist.model != model or twist.grade != 1:
-            raise ValidationError("twist must be a grade-1 class on the same model")
+        if twist is not None:
+            if twist.model != model or twist.grade != 1:
+                raise ValidationError("twist must be a grade-1 class on the same model")
+            roots = tuple(r + twist for r in roots)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "twist", twist)
-        cherns = elementary_symmetric(self.shifted_roots(), model.one())
+        cherns = elementary_symmetric(roots, model.one())
         object.__setattr__(self, "cherns", tuple(cherns))
 
     def __setattr__(self, name, value):
@@ -389,25 +399,17 @@ class SplitBundle:
     def rank(self) -> int:
         return len(self.roots)
 
-    def shifted_roots(self) -> tuple[GradedClass, ...]:
-        return tuple(r + self.twist for r in self.roots)
-
     def twisted(self, delta: GradedClass) -> "SplitBundle":
         """The same bundle with the twist increased by ``delta``."""
-        return SplitBundle(self.model, self.roots, self.twist + delta)
+        return SplitBundle(self.model, self.roots, delta)
 
     def is_ample(self) -> bool:
-        """Sufficient criterion on projective-product models only:
-        every shifted root has strictly positive basis coefficients."""
-        if self.model.name != "proj":
-            raise ValidationError(
-                "the ampleness criterion is defined on projective-product models"
-            )
-        return all(all(n > 0 for n in root.nums) for root in self.shifted_roots())
+        """Whether every root passes ``RingModel.is_ample``."""
+        return all(self.model.is_ample(root) for root in self.roots)
 
 
 def chern(bundle: SplitBundle, p: int) -> GradedClass:
-    """p-th elementary symmetric class of the shifted roots."""
+    """p-th elementary symmetric class of the twisted roots."""
     if p < 0 or p > bundle.rank:
         raise ValidationError(f"Chern degree {p} out of range 0..{bundle.rank}")
     return bundle.cherns[p]

@@ -84,7 +84,7 @@ def _model(value: str, model: RingModel | None) -> RingModel:
         exps = []
         for tok in value[len("proj(") : -1].split(","):
             tok = tok.strip()
-            if not tok.isdigit() or int(tok) < 1:
+            if not tok.isdecimal() or int(tok) < 1:
                 raise ValidationError("proj(...) needs positive integer exponents")
             exps.append(int(tok))
         return proj(*exps)

@@ -120,13 +120,13 @@ def integrate_oracle(a) -> Fraction:
 
 
 def chern_by_subsets(bundle, p: int):
-    """c_p of a split bundle as the sum, over all p-subsets of the shifted
+    """c_p of a split bundle as the sum, over all p-subsets of the twisted
     roots, of their products."""
     model = bundle.model
     if p == 0:
         return model.one()
     total = model.zero(p)
-    for subset in itertools.combinations(bundle.shifted_roots(), p):
+    for subset in itertools.combinations(bundle.roots, p):
         term = subset[0]
         for root in subset[1:]:
             term = multiply(term, root)
@@ -322,13 +322,12 @@ def ssyt_contents(lam: Partition, rank: int) -> Iterator[tuple[int, ...]]:
 
 def schur_class_ssyt_oracle(bundle, lam: Partition):
     """The Schur class of a split bundle by tableau enumeration: the
-    monomial expansion over semistandard tableaux at the shifted roots."""
+    monomial expansion over semistandard tableaux at the twisted roots."""
     model = bundle.model
-    shifted = bundle.shifted_roots()
     total = model.zero(lam.weight)
     for content in ssyt_contents(lam, bundle.rank):
         term = model.one()
-        for root, power in zip(shifted, content):
+        for root, power in zip(bundle.roots, content):
             for _ in range(power):
                 term = multiply(term, root)
         total = total + term
@@ -595,6 +594,20 @@ def chord_strict_oracle(values) -> bool:
         for k in range(i + 2, n)
         for j in range(i + 1, k)
     )
+
+
+def proportionality_oracle(v, h) -> Fraction | None:
+    """kappa with v = kappa * h, read off coordinates, or None: the
+    witness ``certify.hodge_index_check`` gets from Q(v,h) / Q(h)."""
+    v = [Fraction(x) for x in v]
+    h = [Fraction(x) for x in h]
+    if all(x == 0 for x in v):
+        return Fraction(0)
+    pivot = next((i for i, x in enumerate(h) if x != 0), None)
+    if pivot is None:
+        return None
+    kappa = v[pivot] / h[pivot]
+    return kappa if all(v[i] == kappa * h[i] for i in range(len(v))) else None
 
 
 @pytest.fixture

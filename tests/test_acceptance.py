@@ -45,7 +45,7 @@ from schurcert.forms import (
     schur_form,
     wedge,
 )
-from schurcert.inertia import inertia, inertia_triple
+from schurcert.inertia import inertia, inertia_triple, restrict_to_kernel
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
 from schurcert.repro import _low_degree_identity_table
@@ -247,9 +247,10 @@ def test_criterion_09_block_form_suite():
             failures.append(f"instance {i}: inequality fails")
         if res.equality != res.v_is_zero:
             failures.append(f"instance {i}: equality without v=0")
-        if res.kernel_inertia != (0, 0, rho - 1):
+        kernel = inertia_triple(restrict_to_kernel(inst.q_v, inst.phi))
+        if res.kernel_inertia != (0, 0, rho - 1) or res.kernel_inertia != kernel:
             failures.append(
-                f"instance {i}: kernel inertia {res.kernel_inertia}"
+                f"instance {i}: kernel inertia {res.kernel_inertia}, restricted {kernel}"
             )
         res0 = block_form_check(inst, [Fraction(0)] * rho)
         if not (res0.equality and res0.holds):

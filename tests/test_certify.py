@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import chord_strict_oracle
+from conftest import chord_strict_oracle, proportionality_oracle
 from instances import (
     invert_matrix,
     random_ample_bundle,
@@ -27,8 +27,8 @@ from schurcert.certify import (
     nef2_membership,
     schur_logconcavity_report,
 )
-from schurcert.errors import HypothesisError, PreconditionError, ValidationError
-from schurcert.inertia import congruent, quadratic_value
+from schurcert.errors import PreconditionError, ValidationError
+from schurcert.inertia import congruent, inertia_triple, quadratic_value, restrict_to_kernel
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly, nonneg_on_reals
 from schurcert.rings import (
@@ -54,10 +54,10 @@ class TestHodgeIndex:
 
     def test_hypothesis_violations(self):
         pd = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        with pytest.raises(HypothesisError):
+        with pytest.raises(PreconditionError):
             hodge_index_check(pd, [1, 0], [0, 1])
         lorentz = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-        with pytest.raises(HypothesisError):
+        with pytest.raises(PreconditionError):
             hodge_index_check(lorentz, [0, 1], [1, 0])  # Q(h) < 0
 
     def test_random_lorentzian_instances_never_fail(self):
@@ -80,10 +80,13 @@ class TestHodgeIndex:
             h = [row[0] for row in invert_matrix(p)]
             assert quadratic_value(q, h) == diag[0][0]
             v = random_vector(rng, n, 4)
-            res = hodge_index_check(q, h, v)
-            assert res.holds
-            if res.equality:
-                assert res.proportional
+            kappa = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for w in (v, [kappa * x for x in h], [0] * n):
+                res = hodge_index_check(q, h, w)
+                assert res.holds
+                witness = proportionality_oracle(w, h)
+                assert res.proportional == res.equality == (witness is not None)
+                assert res.witness == witness
 
 
 class TestBlockForm:
@@ -106,7 +109,7 @@ class TestBlockForm:
         bad = BlockFormInstance.of(
             [[1, 0], [0, 1]], [1, 0], [1, 0]
         )  # Q_W cannot have signature (1,0,2)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(PreconditionError):
             block_form_check(bad, [1, 1])
 
     def test_randomized_suite(self):
@@ -119,6 +122,7 @@ class TestBlockForm:
             assert res.holds
             assert res.equality == res.v_is_zero
             assert res.kernel_inertia == (0, 0, rho - 1)
+            assert res.kernel_inertia == inertia_triple(restrict_to_kernel(inst.q_v, inst.phi))
 
 
 class TestQuarticNonneg:
@@ -311,8 +315,6 @@ class TestHI2:
         res = hi2_check(e, h, alpha)
         assert res.holds
         # classical route: Q(a,b) = integral(a b), with the c_1 covector
-        from schurcert.inertia import inertia_triple
-
         q = [
             [integrate(multiply(m.generator(i), m.generator(j))) for j in range(2)]
             for i in range(2)

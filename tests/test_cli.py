@@ -259,6 +259,36 @@ class TestLogconcaveAndHi2:
         assert code == 0
         assert "holds=true" in out and "equality=false" in out
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "hi2",
+                "[model]\nmodel = abelian_square\n\n"
+                "[bundle]\nroot = 1,1,1\nroot = 1,0,1\nroot = 0,1,1\n\n"
+                "[task hi2]\nh = 1,1,1\nalpha = 1,-1,0\n",
+                "ampleness criterion needs a projective-product model",
+            ),
+            (
+                "logconcave",
+                SCN.replace("root = 1,2\n", "root = 1,-2\n"),
+                "bundle fails the positivity (ampleness) criterion",
+            ),
+            (
+                "hi2",
+                SCN.replace("[task hi2]\nh = 1,1", "[task hi2]\nh = 1,0"),
+                "reference class is not ample (positive degree-1)",
+            ),
+        ],
+        ids=["hi2-abelian-model", "logconcave-non-ample-bundle", "hi2-non-ample-h"],
+    )
+    def test_ampleness_refusals_exit_3(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "refused.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestHlScan:
     def test_default_width(self, capsys):
@@ -286,15 +316,20 @@ class TestPaperRepro:
     def test_list(self, capsys):
         code, out, _ = run(capsys, ["paper-repro", "--list"])
         assert code == 0
-        for example_id in (
-            "signature-family",
-            "boundary-class-gram",
-            "hl-failure-scan",
-            "pencil-gram-p2p3",
-            "derived-schur-table",
-            "quad-integral-table",
-        ):
-            assert example_id in out
+        assert out == (
+            "signature-family: inertia of the dim-4 two-square pencil over the "
+            "real (1,1) space\n"
+            "boundary-class-gram: Gram matrix, signature and cone membership of "
+            "the boundary class 8*th1*th2 + 3*lam^2\n"
+            "hl-failure-scan: grade-2 pencil on the triple projective plane: "
+            "determinant signs and an isolated singular parameter\n"
+            "pencil-gram-p2p3: two-generator pencil Gram matrix [[t,2t],[2t,1+2t]] "
+            "and its signature at t=1/4\n"
+            "derived-schur-table: all 20 low-degree derived-Schur identities at "
+            "ranks 3, 4, 5\n"
+            "quad-integral-table: the hard-coded quadruple integrals of the "
+            "abelian fourfold model\n"
+        )
 
     def test_corrupted_integral_table_fails(self, capsys, monkeypatch):
         monkeypatch.setitem(
@@ -305,6 +340,11 @@ class TestPaperRepro:
         assert "example=boundary-class-gram status=fail" in out
         assert "example=quad-integral-table status=fail" in out
         assert out.splitlines()[-1] == "overall=fail"
+        gram = [[0, 28, 0], [28, 0, 0], [0, 0, 40]]
+        assert [line for line in out.splitlines() if line.startswith("detail=")] == [
+            f"detail=gram is {[[Fraction(x) for x in row] for row in gram]}",
+            "detail=th1^2 th2^2: 5 != 4",
+        ]
 
     def test_seed_flag_and_section_are_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

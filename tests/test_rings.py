@@ -6,7 +6,7 @@ from conftest import chern_by_subsets, partitions_of, schur_class_ssyt_oracle
 from instances import random_ample_bundle, random_ample_class, rng_for
 
 from schurcert.chernpoly import det_in_ring
-from schurcert.errors import ValidationError
+from schurcert.errors import PreconditionError, ValidationError
 from schurcert.inertia import inertia_triple
 from schurcert.partitions import Partition
 from schurcert.rings import (
@@ -159,7 +159,7 @@ class TestChern:
             m = proj(*rng.choice([(2, 2), (1, 3), (1, 1, 2)]))
             e = random_ample_bundle(rng, m, rng.randint(1, 4))
             coeffs = [m.one()] + [m.zero(p) for p in range(1, e.rank + 1)]
-            for root in e.shifted_roots():
+            for root in e.roots:
                 for p in range(e.rank, 0, -1):
                     coeffs[p] = coeffs[p] + multiply(coeffs[p - 1], root)
             for p in range(e.rank + 1):
@@ -355,7 +355,7 @@ class TestAmpleness:
     def test_abelian_model_has_no_criterion(self):
         ab = abelian_square()
         e = SplitBundle(ab, (ab.generator(0),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(PreconditionError):
             e.is_ample()
 
 

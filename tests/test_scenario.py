@@ -52,7 +52,6 @@ def test_parse_full_scenario():
     assert sc.model == proj(2, 3)
     x1, x2 = (sc.model.generator(i) for i in range(2))
     assert sc.bundle.roots == (x1, x1, x2)
-    assert sc.bundle.twist == sc.model.zero(1)
     assert set(sc.forms) == {"omega1", "omega2"}
     assert sc.forms["omega2"] == hermitian_form(
         [[Fraction(1, 7), GaussianRational(0, 1)], [GaussianRational(0, -1), 2]]
@@ -126,6 +125,16 @@ def test_model_takes_only_the_model_key(pair):
         parse(f"[model]\n  {pair}\n")
     assert (exc.value.line, exc.value.column) == (2, 3)
     assert "unknown key" in str(exc.value)
+
+
+@pytest.mark.parametrize("exps", ["²", "2,³", "0", "+3", "1_0", "x"])
+def test_model_exponent_must_be_a_positive_decimal(exps):
+    # A superscript digit passes str.isdigit but not int(): it is refused
+    # at its key like any other bad exponent, not with a crash.
+    with pytest.raises(ScenarioError) as exc:
+        parse(f"[model]\nmodel = proj({exps})\n")
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert "positive integer exponents" in str(exc.value)
 
 
 def test_stray_pair_rejected():
