@@ -363,7 +363,7 @@ def hi2_check(
     model = bundle.model
     d = model.dimension
     if bundle.rank < d - 1:
-        raise ValidationError(
+        raise PreconditionError(
             f"rank {bundle.rank} too small: the inequality needs rank >= {d - 1}"
         )
     _require_ample(bundle, h)

@@ -4,11 +4,13 @@ Subcommands: ``schur``, ``ring-eval``, ``hr-check``, ``nef2``, ``hi2``,
 ``logconcave``, ``hl-scan``, ``paper-repro``.  Exit codes: 0 success,
 1 repro-suite failure, 2 malformed input (bad arguments, a bad scenario
 file or an invalid value), 3 a mathematical hypothesis that the verdict
-needs was checked exactly and failed.  Any other exception is an internal
-fault and propagates with its traceback.
+needs was checked exactly and failed.  A result with more digits than
+Python converts to text exits 2; any other exception is an internal fault
+and propagates with its traceback.
 
-Input checks live in ``scenario``: ``parse`` returns every section built
-and every task resolved, so each subcommand only computes and renders.
+Input checks live in ``scenario``, whose readers and literal grammar also
+serve every number on the command line.  ``parse`` returns every section
+built and every task resolved, so each subcommand only computes and renders.
 The mathematical hypotheses (ampleness, rank at least the dimension, a
 Kaehler reference, the bidegree the pairing needs) are checked when the
 verdict is computed, and a failure exits 3.
@@ -39,9 +41,8 @@ from .certify import (
 from .chernpoly import derived_schur, format_poly, schur
 from .errors import PreconditionError, ValidationError
 from .forms import PQForm, hodge_riemann_verdict, schur_form, wedge
-from .partitions import Partition
 from .rings import chern, derived_schur_class, format_class, integrate, schur_class
-from .scenario import Scenario, parse, parse_rational
+from .scenario import Scenario, parse, parse_natural, parse_partition, parse_rational
 
 
 def _bool(value: bool) -> str:
@@ -66,7 +67,7 @@ def _require_task(sc: Scenario, name: str) -> dict:
 
 
 def _cmd_schur(args) -> list[str]:
-    lam = Partition.parse(args.partition)
+    lam = parse_partition(args.partition)
     if args.derived is None:
         poly = schur(lam, args.rank)
     else:
@@ -206,6 +207,13 @@ def _cmd_paper_repro(args) -> tuple[list[str], int]:
 # -- argument parsing -----------------------------------------------------
 
 
+def _natural(text: str) -> int:
+    try:
+        return parse_natural(text, "natural number")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurcert",
@@ -220,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="print a Schur or derived Schur polynomial")
     p.add_argument("partition", help="comma-separated parts, e.g. 2,1")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--derived", type=int, default=None, metavar="I")
+    p.add_argument("--rank", type=_natural, required=True)
+    p.add_argument("--derived", type=_natural, default=None, metavar="I")
 
     p = sub.add_parser("ring-eval", help="evaluate characteristic classes on a model")
     p.add_argument("scenario")
@@ -274,6 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # of all ValueErrors, only int-to-text's limit is input-sized
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits", file=sys.stderr)
+        return 2
     for line in lines:
         print(line)
     return code

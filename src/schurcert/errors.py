@@ -4,9 +4,9 @@ The CLI maps these onto exit codes: validation failures (malformed input)
 exit with 2, precondition failures (a hypothesis checked exactly and found
 false) with 3.  A failed hypothesis is a plain ``PreconditionError`` whose
 message names what failed, such as the inertia triple found; no subclass
-carries it as a field.  Any other exception, such as a
-``ZeroDivisionError``, is an internal fault: the CLI lets it propagate
-instead of giving it an exit code.
+carries it as a field.  Any other exception but a result too long to
+print (see ``cli``), such as a ``ZeroDivisionError``, is an internal
+fault: the CLI lets it propagate instead of giving it an exit code.
 """
 
 from __future__ import annotations

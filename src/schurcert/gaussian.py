@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ValidationError, exact_rational
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_LITERAL = re.compile(rf"^\s*({_RAT})\s*(?:([+-]\s*\d+(?:/\d+)?)\s*i)?\s*$")
 
 
 class GaussianRational:
@@ -30,19 +26,6 @@ class GaussianRational:
         if isinstance(value, (int, Fraction)):
             return cls(value)
         raise ValidationError(f"cannot coerce {type(value).__name__} to a Gaussian rational")
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianRational":
-        """Parse ``"3/2"``, ``"0+1i"``, ``"1-3/4i"`` (no floats accepted)."""
-        m = _LITERAL.match(text)
-        if not m:
-            raise ValidationError(f"bad rational/Gaussian literal {text!r}")
-        try:
-            re_part = Fraction(m.group(1))
-            im_part = Fraction(m.group(2).replace(" ", "")) if m.group(2) else Fraction(0)
-        except ZeroDivisionError:
-            raise ValidationError(f"zero denominator in literal {text!r}")
-        return cls(re_part, im_part)
 
     @classmethod
     def i(cls) -> "GaussianRational":

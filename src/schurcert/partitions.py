@@ -32,18 +32,6 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parse the serialized form ``"2,1,0"`` (spaces allowed)."""
-        text = text.strip()
-        if not text:
-            raise ValidationError("empty partition literal")
-        try:
-            parts = [int(tok.strip()) for tok in text.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"bad partition literal {text!r}") from exc
-        return cls(parts)
-
     def format(self) -> str:
         """Serialize as comma-separated parts; the empty partition is ``"0"``."""
         return ",".join(str(p) for p in self.parts) if self.parts else "0"

@@ -19,9 +19,12 @@ and their required keys: ``[task hr-check]`` needs ``dimension``,
 number of ``schur`` and ``derived`` (``partition / order``) keys.  Every
 task but ``hr-check`` needs a ``[bundle]``.
 
-Rational literals are ``p/q`` or integers; Gaussian rationals additionally
-allow ``re+imi`` / ``re-imi``.  Floating point and exponent notation are
-rejected in every literal, the coefficients of a ``combination`` included.
+Every number a user types, here or on the command line, is read by this
+module, by one grammar (blanks around a literal are ignored)::
+
+    natural   := [0-9]+                  parts, orders, dimension, powers, exponents
+    rational  := [+-]? natural ('/' natural)?          vectors and coefficients
+    gaussian  := rational ([+-] natural ('/' natural)? 'i')?   rows, inner blanks allowed
 
 ``parse`` checks and resolves the whole file in one pass.  It builds the
 model, the bundle and every ``[hermitian]`` section, whether a task refers
@@ -41,6 +44,8 @@ matrix that is not Hermitian).
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,15 +66,40 @@ class Scenario:
     tasks: dict[str, dict[str, object]] = field(default_factory=dict)
 
 
-def parse_rational(text: str) -> Fraction:
-    """``p/q`` or an integer as an exact rational; anything else, floats
-    included, raises ValidationError."""
+_NATURAL = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_GAUSSIAN = re.compile(_RATIONAL.pattern + r"(?:\s*([+-])\s*([0-9]+)(?:/([0-9]+))?\s*i)?")
+
+
+def _fraction(num: str, den: str | None = None) -> Fraction:
+    """``num/den`` from matched digits; a zero denominator or more digits
+    than ``int()`` converts raises ValidationError."""
     try:
-        if "." in text or "e" in text.lower():
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {num}/{den}")
+    except ValueError:
+        raise ValidationError(f"a literal has more than {sys.get_int_max_str_digits()} digits")
+
+
+def parse_natural(text: str, what: str) -> int:
+    """``[0-9]+`` as an int; anything else raises ValidationError naming ``what``."""
+    if _NATURAL.fullmatch(text.strip()) is None:
+        raise ValidationError(f"bad {what} {text.strip()!r}")
+    return _fraction(text).numerator
+
+
+def parse_rational(text: str) -> Fraction:
+    """A signed ``p/q`` or integer; anything else, floats included, is refused."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
         raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
+    return _fraction(*m.groups())
+
+
+def parse_partition(text: str) -> Partition:
+    """Comma-separated naturals, weakly decreasing: ``"2,1,0"``."""
+    return Partition([parse_natural(tok, "partition part") for tok in text.split(",")])
 
 
 # -- values: each parser takes the text and the model, and raises
@@ -81,22 +111,21 @@ def _model(value: str, model: RingModel | None) -> RingModel:
     if value == "abelian_square":
         return abelian_square()
     if value.startswith("proj(") and value.endswith(")"):
-        exps = []
-        for tok in value[len("proj(") : -1].split(","):
-            tok = tok.strip()
-            if not tok.isdecimal() or int(tok) < 1:
-                raise ValidationError("proj(...) needs positive integer exponents")
-            exps.append(int(tok))
+        try:
+            exps = [parse_natural(t, "exponent") for t in value[len("proj(") : -1].split(",")]
+        except ValidationError:
+            exps = [0]
+        if min(exps) < 1:
+            raise ValidationError("proj(...) needs positive integer exponents")
         return proj(*exps)
     raise ValidationError(f"bad model literal {value!r}")
 
 
 def _vector(value: str, model: RingModel | None) -> GradedClass:
     """A degree-1 class of the model, one coefficient per generator."""
-    items = value.split(",")
-    if all(not t.strip() for t in items):
+    if not value:
         raise ValidationError("empty coefficient list")
-    coeffs = [parse_rational(t.strip()) for t in items]
+    coeffs = [parse_rational(t) for t in value.split(",")]
     if model is None:
         raise ValidationError("a vector needs a [model] section")
     return model.degree_one(coeffs)
@@ -105,19 +134,17 @@ def _vector(value: str, model: RingModel | None) -> GradedClass:
 def _row(value: str, model: RingModel | None) -> tuple[GaussianRational, ...]:
     out = []
     for tok in value.split(","):
-        tok = tok.strip()
-        try:
-            out.append(GaussianRational.parse(tok))
-        except ValidationError:
-            raise ValidationError(f"bad Gaussian-rational literal {tok!r}")
+        m = _GAUSSIAN.fullmatch(tok.strip())
+        if m is None:
+            raise ValidationError(f"bad Gaussian-rational literal {tok.strip()!r}")
+        re_num, re_den, sign, im_num, im_den = m.groups()
+        im = _fraction(sign + im_num, im_den) if sign else 0
+        out.append(GaussianRational(_fraction(re_num, re_den), im))
     return tuple(out)
 
 
 def _dimension(value: str, model: RingModel | None) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"bad dimension {value!r}")
+    return parse_natural(value, "dimension")
 
 
 def _name(value: str, model: RingModel | None) -> str:
@@ -129,19 +156,16 @@ def _names(value: str, model: RingModel | None) -> tuple[str, ...]:
 
 
 def _partition(value: str, model: RingModel | None) -> Partition:
-    return Partition.parse(value)
+    return parse_partition(value)
 
 
 def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
     if "/" not in value:
         raise ValidationError("derived entries look like 'partition / order'")
     part_text, order_text = value.rsplit("/", 1)
-    try:
-        order = int(order_text.strip())
-    except ValueError:
-        raise ValidationError(f"bad derived order {order_text!r}")
-    mu = Partition.parse(part_text)
-    if not 0 <= order <= mu.weight:
+    order = parse_natural(order_text, "derived order")
+    mu = parse_partition(part_text)
+    if order > mu.weight:
         raise ValidationError(f"derived order {order} out of range 0..{mu.weight}")
     return mu, order
 
@@ -154,16 +178,13 @@ def _combination(value: str, model: RingModel | None) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             continue
-        negative = chunk.startswith("-")
-        if negative:
-            chunk = chunk[1:].strip()
-        coeff = Fraction(1)
+        coeff = Fraction(-1 if chunk.startswith("-") else 1)
         factors: list[tuple[str, int]] = []
-        for factor in chunk.split("*"):
+        for factor in chunk.removeprefix("-").split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValidationError("empty factor in combination")
-            if factor[0].isdigit() or factor[0] == ".":
+            if factor[0] in "0123456789.":
                 try:
                     coeff *= parse_rational(factor)
                 except ValidationError:
@@ -171,17 +192,10 @@ def _combination(value: str, model: RingModel | None) -> tuple:
                 continue
             if "^" in factor:
                 name, _, power_text = factor.partition("^")
-                try:
-                    power = int(power_text)
-                except ValueError:
-                    raise ValidationError(f"bad power {power_text!r}")
-                if power < 0:
-                    raise ValidationError("negative power in combination")
+                power = parse_natural(power_text, "power")
             else:
                 name, power = factor, 1
             factors.append((name.strip(), power))
-        if negative:
-            coeff = -coeff
         if not factors:
             raise ValidationError("combination term without a form name")
         terms.append((coeff, tuple(factors)))

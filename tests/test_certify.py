@@ -326,7 +326,7 @@ class TestHI2:
     def test_rank_too_small(self):
         m = proj(2, 2)
         e = SplitBundle(m, (m.degree_one([1, 1]), m.degree_one([1, 2])))
-        with pytest.raises(ValidationError):
+        with pytest.raises(PreconditionError, match="rank 2 too small"):
             hi2_check(e, m.degree_one([1, 1]), m.degree_one([1, 0]))
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import schurcert.cli as cli
 import schurcert.forms as forms
 import schurcert.rings as rings
 from schurcert.cli import main
@@ -228,6 +229,27 @@ class TestRingEval:
         code, _, err = run(capsys, ["ring-eval", str(path)])
         assert code == 2 and "root" in err
 
+    def test_result_too_long_to_print_exits_2(self, capsys, tmp_path):
+        # Each root is accepted, but c2 has about 6000 digits: more than
+        # Python converts to text.
+        big = "7" * 3000
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            f"[model]\nmodel = proj(2,2)\n\n[bundle]\nroot = {big},1\nroot = 1,{big}\n"
+            f"root = {big},{big}\n"
+        )
+        code, out, err = run(capsys, ["ring-eval", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: a result has more than 4300 digits\n"
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        def fault(args):
+            raise ValueError("internal")
+
+        monkeypatch.setitem(cli._COMMANDS, "ring-eval", fault)
+        with pytest.raises(ValueError, match="internal"):
+            main(["ring-eval", "unused.txt"])
+
     def test_type_and_exponents_keys_exit_2(self, capsys, tmp_path):
         path = tmp_path / "oldmodel.txt"
         path.write_text("[model]\ntype = proj\nexponents = 2\n")
@@ -279,8 +301,17 @@ class TestLogconcaveAndHi2:
                 SCN.replace("[task hi2]\nh = 1,1", "[task hi2]\nh = 1,0"),
                 "reference class is not ample (positive degree-1)",
             ),
+            (
+                "hi2",
+                "[model]\nmodel = proj(2,2)\n\n[bundle]\nroot = 1,1\nroot = 1,2\n\n"
+                "[task hi2]\nh = 1,1\nalpha = 1,0\n",
+                "rank 2 too small: the inequality needs rank >= 3",
+            ),
         ],
-        ids=["hi2-abelian-model", "logconcave-non-ample-bundle", "hi2-non-ample-h"],
+        ids=[
+            "hi2-abelian-model", "logconcave-non-ample-bundle", "hi2-non-ample-h",
+            "hi2-rank-below-dim",
+        ],
     )
     def test_ampleness_refusals_exit_3(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "refused.txt"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from schurcert.errors import ValidationError
 from schurcert.partitions import Partition
+from schurcert.scenario import parse_partition
 
 
 def test_trailing_zeros_are_stripped():
@@ -31,15 +32,15 @@ def test_rejects_bad_sequences():
 
 
 def test_parse_and_format_roundtrip():
-    assert Partition.parse("2,1,0") == Partition([2, 1])
-    assert Partition.parse(" 3 , 3 ") == Partition([3, 3])
+    assert parse_partition("2,1,0") == Partition([2, 1])
+    assert parse_partition(" 3 , 3 ") == Partition([3, 3])
     assert Partition([2, 1]).format() == "2,1"
     assert Partition([]).format() == "0"
-    assert Partition.parse("0") == Partition([])
+    assert parse_partition("0") == Partition([])
     with pytest.raises(ValidationError):
-        Partition.parse("")
+        parse_partition("")
     with pytest.raises(ValidationError):
-        Partition.parse("a,b")
+        parse_partition("a,b")
 
 
 def test_rank_validity():
