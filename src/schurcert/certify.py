@@ -7,7 +7,7 @@ tolerance parameter exists anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,17 +31,35 @@ from .rings import (
 Matrix = Sequence[Sequence[Fraction]]
 
 
+@dataclass(frozen=True)
+class Inequality:
+    """An exact inequality lhs <= rhs; its flags are read off the pair."""
+
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
+
+    @property
+    def equality(self) -> bool:
+        return self.lhs == self.rhs
+
+
 # -- Hodge-Index inequality on a verified (1, 0, n-1) form ---------------
 
 
 @dataclass(frozen=True)
-class HodgeIndexResult:
-    lhs: Fraction  # Q(v) * Q(h)
-    rhs: Fraction  # Q(v, h)^2
-    holds: bool
-    equality: bool
-    proportional: bool  # always equals ``equality``; the benchmark prints both
+class HodgeIndexResult(Inequality):
+    """lhs = Q(v) Q(h), rhs = Q(v, h)^2."""
+
     witness: Fraction | None  # v = witness * h when proportional
+
+    @property
+    def proportional(self) -> bool:
+        """Always ``equality``; the benchmark prints both."""
+        return self.equality
 
 
 def hodge_index_check(q: Matrix, h: Sequence[Fraction], v: Sequence[Fraction]) -> HodgeIndexResult:
@@ -67,15 +85,7 @@ def hodge_index_check(q: Matrix, h: Sequence[Fraction], v: Sequence[Fraction]) -
     qvh = quadratic_value(q, v, h)
     lhs = qv * qh
     rhs = qvh * qvh
-    equality = lhs == rhs
-    return HodgeIndexResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        equality=equality,
-        proportional=equality,
-        witness=qvh / qh if equality else None,
-    )
+    return HodgeIndexResult(lhs, rhs, qvh / qh if lhs == rhs else None)
 
 
 # -- block-form inequality ----------------------------------------------
@@ -115,11 +125,9 @@ class BlockFormInstance:
 
 
 @dataclass(frozen=True)
-class BlockFormResult:
-    lhs: Fraction  # Q_V(v) * phi(h)
-    rhs: Fraction  # 2 Q_V(v, h) * phi(v)
-    holds: bool
-    equality: bool
+class BlockFormResult(Inequality):
+    """lhs = Q_V(v) phi(h), rhs = 2 Q_V(v, h) phi(v)."""
+
     v_is_zero: bool
     kernel_inertia: tuple[int, int, int]
 
@@ -146,13 +154,9 @@ def block_form_check(inst: BlockFormInstance, v: Sequence[Fraction]) -> BlockFor
     phi_h = inst.phi_of(inst.h)
     if phi_h <= 0:
         raise PreconditionError(f"phi(h) = {phi_h} is not positive")
-    lhs = quadratic_value(inst.q_v, v) * phi_h
-    rhs = 2 * quadratic_value(inst.q_v, v, inst.h) * inst.phi_of(v)
     return BlockFormResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        equality=lhs == rhs,
+        lhs=quadratic_value(inst.q_v, v) * phi_h,
+        rhs=2 * quadratic_value(inst.q_v, v, inst.h) * inst.phi_of(v),
         v_is_zero=all(x == 0 for x in v),
         kernel_inertia=(triple[0] - 1, triple[1], triple[2] - 1),
     )
@@ -196,9 +200,17 @@ class Nef2Coefficients:
 
 @dataclass(frozen=True)
 class Nef2Verdict:
-    member: bool
     conditions: tuple[tuple[str, bool, bool], ...]  # (name, holds, equality)
     quartic_identically_zero: bool
+
+    @property
+    def member(self) -> bool:
+        return all(holds for _, holds, _ in self.conditions)
+
+    @property
+    def boundary(self) -> bool:
+        """A member on which some condition holds with equality."""
+        return self.member and any(eq for _, _, eq in self.conditions)
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -238,11 +250,7 @@ def nef2_membership(c: Nef2Coefficients) -> Nef2Verdict:
         ("disc_th2", disc2 >= 0, disc2 == 0),
         ("quartic", quartic_holds, quartic_equality),
     )
-    return Nef2Verdict(
-        member=all(holds for _, holds, _ in conditions),
-        conditions=conditions,
-        quartic_identically_zero=quartic_identically_zero,
-    )
+    return Nef2Verdict(conditions, quartic_identically_zero)
 
 
 # -- discrete log-concavity ----------------------------------------------
@@ -274,9 +282,20 @@ def _midpoint_strict(vals: Sequence[Fraction]) -> bool:
 @dataclass(frozen=True)
 class LogConcavityReport:
     values: tuple[Fraction, ...]
-    positive: bool
-    strict: bool
-    counterexamples: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def positive(self) -> bool:
+        return all(v > 0 for v in self.values)
+
+    @property
+    def strict(self) -> bool:
+        return self.positive and _midpoint_strict(self.values)
+
+    @property
+    def counterexamples(self) -> tuple[str, ...]:
+        return tuple(
+            f"f({i})={v} is not positive" for i, v in enumerate(self.values) if v <= 0
+        )
 
 
 def _powers(x: GradedClass, n: int) -> list[GradedClass]:
@@ -316,16 +335,7 @@ def schur_logconcavity_report(
     for i in range(d + 1):
         cls = derived_schur_class(bundle, mu, e - i)
         values.append(integrate(multiply(cls, h_powers[d - i])))
-    positive = all(v > 0 for v in values)
-    counterexamples = tuple(
-        f"f({i})={v} is not positive" for i, v in enumerate(values) if v <= 0
-    )
-    return LogConcavityReport(
-        values=tuple(values),
-        positive=positive,
-        strict=positive and _midpoint_strict(values),
-        counterexamples=counterexamples,
-    )
+    return LogConcavityReport(tuple(values))
 
 
 def khovanskii_teissier_sequence(
@@ -345,11 +355,10 @@ def khovanskii_teissier_sequence(
 
 
 @dataclass(frozen=True)
-class HI2Result:
-    lhs: Fraction  # integral(a^2 c_{d-2}) * integral(h c_{d-1})
-    rhs: Fraction  # 2 integral(a h c_{d-2}) * integral(a c_{d-1})
-    holds: bool
-    equality: bool
+class HI2Result(Inequality):
+    """lhs = integral(a^2 c_{d-2}) integral(h c_{d-1}),
+    rhs = 2 integral(a h c_{d-2}) integral(a c_{d-1})."""
+
     alpha_is_zero: bool
 
 
@@ -377,13 +386,7 @@ def hi2_check(
     rhs = 2 * integrate(multiply(multiply(alpha, h), c_dm2)) * integrate(
         multiply(alpha, c_dm1)
     )
-    return HI2Result(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        equality=lhs == rhs,
-        alpha_is_zero=alpha.is_zero(),
-    )
+    return HI2Result(lhs, rhs, alpha.is_zero())
 
 
 # -- one-parameter Gram families and the fixed failure instance ----------

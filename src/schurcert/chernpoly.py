@@ -327,10 +327,11 @@ def jacobi_trudi(parts: Sequence[int], rank: int) -> ChernPoly:
     return det_in_ring(rows, ChernPoly.one(rank))
 
 
-# Every derived class of a (partition, rank) pair sums the Schur classes of
-# the partitions inside it, so the same few determinants are asked for again
-# and again; the canonical-shape results are cached.  ChernPoly values are
-# immutable.
+# A logconcave verdict asks for each (partition, rank) determinant at most
+# once: its derived classes sum Schur classes of different weights.  Hits
+# come from a pair that an earlier verdict in the same process asked for, or
+# from ring-eval keys of one verdict that share a Schur class.  ChernPoly
+# values are immutable.
 @functools.lru_cache(maxsize=4096)
 def _jacobi_trudi_cached(parts: tuple[int, ...], rank: int) -> ChernPoly:
     return jacobi_trudi(parts, rank)
@@ -352,8 +353,9 @@ def _partitions_inside(parts: tuple[int, ...], weight: int, cap: int):
                 yield (first,) + rest
 
 
-# The logconcave and ring-eval verdicts ask for several orders of one
-# (partition, rank) pair, so each derived class is cached too.
+# Within one verdict only a repeated ring-eval ``derived`` entry asks for the
+# same (partition, rank, order) twice; other hits need the key from an
+# earlier verdict in the same process.
 @functools.lru_cache(maxsize=4096)
 def _derived_schur_cached(parts: tuple[int, ...], rank: int, order: int) -> ChernPoly:
     width = parts[0] if parts else 0

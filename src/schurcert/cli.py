@@ -118,7 +118,7 @@ def _cmd_hr_check(args) -> list[str]:
     task = _require_task(sc, "hr-check")
     rep = hodge_riemann_verdict(_hr_form(sc, task), sc.forms[task["reference"]])
     return [
-        f"inertia={rep}",
+        "inertia=({},{},{})".format(*rep.triple),
         f"positivity={rep.positivity_scalar}",
         f"hr={_bool(rep.hr_flag)}",
         f"hl={_bool(rep.hl_flag)}",
@@ -128,10 +128,9 @@ def _cmd_hr_check(args) -> list[str]:
 def _cmd_nef2(args) -> list[str]:
     coeffs = Nef2Coefficients.of(*(parse_rational(a) for a in args.coefficients))
     verdict = nef2_membership(coeffs)
-    boundary = verdict.member and any(eq for _, _, eq in verdict.conditions)
     lines = [
         f"member={_bool(verdict.member)}",
-        f"boundary={_bool(boundary)}",
+        f"boundary={_bool(verdict.boundary)}",
         f"quartic_identically_zero={_bool(verdict.quartic_identically_zero)}",
         "failed=[" + ",".join(verdict.failed) + "]",
     ]

@@ -44,7 +44,6 @@ wedge ref), (1,1)-forms being even, is one lookup per pair of terms of ref.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -52,7 +51,7 @@ from typing import Sequence
 from .chernpoly import elementary_symmetric, evaluate, schur as schur_poly
 from .errors import PreconditionError, ValidationError, exact_rational
 from .gaussian import GaussianRational
-from .inertia import InertiaReport, inertia, inertia_triple
+from .inertia import HodgeRiemannVerdict, inertia_triple
 from .partitions import Partition
 
 Key = tuple[int, int]  # (I bitmask, J bitmask)
@@ -505,14 +504,14 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
     return [[Fraction(x, omega.den) for x in row] for row in _gram_numerators(omega)]
 
 
-def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> InertiaReport:
-    """Full inertia of the (1,1) pairing of omega, plus the HR/HL verdict.
+def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> HodgeRiemannVerdict:
+    """Inertia of the (1,1) pairing of omega and integral(omega wedge ref^2).
 
-    The reference form must be Kaehler (positive definite); the verdict is
-    HR iff integral(omega wedge ref^2) > 0 and the inertia is
-    (1, 0, d^2 - 1), and HL iff the pairing is nondegenerate.  Both are
-    read off the coefficients of omega; the Gram's inertia is taken on its
-    integer numerators, which have the same inertia since omega.den > 0.
+    The reference form must be Kaehler (positive definite).  The verdict
+    decides HR (positive integral, inertia (1, 0, d^2 - 1)) and HL (a
+    nondegenerate pairing) from these two values.  Both are read off the
+    coefficients of omega; the Gram's inertia is taken on its integer
+    numerators, which have the same inertia since omega.den > 0.
     """
     d = omega.dim
     if reference.dim != d:
@@ -526,9 +525,4 @@ def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> InertiaReport:
     ]
     top = _real_over_volume(_pairing(omega, terms, terms), d, _NON_REAL_TOP)
     positivity = Fraction(top, omega.den * reference.den**2)
-    rep = inertia(_gram_numerators(omega))
-    return replace(
-        rep,
-        hr_flag=positivity > 0 and rep.triple == (1, 0, d * d - 1),
-        positivity_scalar=positivity,
-    )
+    return HodgeRiemannVerdict(inertia_triple(_gram_numerators(omega)), positivity)

@@ -4,50 +4,38 @@ One congruence reduction, :func:`congruence_diagonal`, serves all three: by
 Sylvester's law of inertia the signs of its diagonal give (n+, n0, n-), the
 number of nonzero entries is the rank and their product is det M.  No
 eigenvalue computation and no floating point is involved.
+
+:class:`HodgeRiemannVerdict` holds a pairing's inertia triple and its
+positivity integral, and is the one place that decides Hodge-Riemann and
+Hard Lefschetz from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError, exact_rational
 
 Matrix = Sequence[Sequence[Fraction]]
 
 
-@dataclass(frozen=True)
-class InertiaReport:
-    """Signature data of a symmetric pairing, plus optional verdict fields.
+class HodgeRiemannVerdict(NamedTuple):
+    """The inertia (n+, n0, n-) of a pairing and its positivity integral."""
 
-    ``hr_flag`` and ``positivity_scalar`` are filled by callers that also
-    check the defining positivity integral; they stay ``None`` for a bare
-    inertia computation.
-    """
-
-    n_plus: int
-    n_zero: int
-    n_minus: int
-    hr_flag: bool | None = None
-    positivity_scalar: Fraction | None = None
+    triple: tuple[int, int, int]
+    positivity_scalar: Fraction
 
     @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_zero, self.n_minus)
-
-    @property
-    def det_sign(self) -> int:
-        return 0 if self.n_zero else (-1) ** self.n_minus
+    def hr_flag(self) -> bool:
+        """Positive integral and signature (1, 0, n-1)."""
+        return self.positivity_scalar > 0 and self.triple == (1, 0, sum(self.triple) - 1)
 
     @property
     def hl_flag(self) -> bool:
         """Nondegeneracy (no zero eigenvalues)."""
-        return self.n_zero == 0
-
-    def __str__(self) -> str:
-        return f"({self.n_plus},{self.n_zero},{self.n_minus})"
+        return self.triple[1] == 0
 
 
 def _to_rows(matrix: Matrix) -> list[list[Fraction | int]]:
@@ -135,11 +123,6 @@ def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
     n_plus = sum(1 for x in diag if x > 0)
     n_minus = sum(1 for x in diag if x < 0)
     return n_plus, len(diag) - n_plus - n_minus, n_minus
-
-
-def inertia(matrix: Matrix) -> InertiaReport:
-    """Full signature report; non-symmetric input is rejected."""
-    return InertiaReport(*inertia_triple(matrix))
 
 
 def quadratic_value(matrix: Matrix, v: Sequence[Fraction], w=None) -> Fraction:

@@ -162,7 +162,7 @@ def _partition(value: str, model: RingModel | None) -> Partition:
 def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
     if "/" not in value:
         raise ValidationError("derived entries look like 'partition / order'")
-    part_text, order_text = value.rsplit("/", 1)
+    part_text, order_text = value.split("/", 1)
     order = parse_natural(order_text, "derived order")
     mu = parse_partition(part_text)
     if order > mu.weight:
@@ -171,7 +171,10 @@ def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
 
 
 def _combination(value: str, model: RingModel | None) -> tuple:
-    """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...)."""
+    """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...).
+
+    A factor whose base (before ``^``) is an identifier is a form name;
+    every other factor is a rational coefficient."""
     text = value.replace("-", "+-")
     terms = []
     for chunk in text.split("+"):
@@ -184,18 +187,15 @@ def _combination(value: str, model: RingModel | None) -> tuple:
             factor = factor.strip()
             if not factor:
                 raise ValidationError("empty factor in combination")
-            if factor[0] in "0123456789.":
+            name, caret, power_text = factor.partition("^")
+            name = name.strip()
+            if not name.isidentifier():  # form names are identifiers
                 try:
                     coeff *= parse_rational(factor)
                 except ValidationError:
                     raise ValidationError(f"bad coefficient {factor!r}")
                 continue
-            if "^" in factor:
-                name, _, power_text = factor.partition("^")
-                power = parse_natural(power_text, "power")
-            else:
-                name, power = factor, 1
-            factors.append((name.strip(), power))
+            factors.append((name, parse_natural(power_text, "power") if caret else 1))
         if not factors:
             raise ValidationError("combination term without a form name")
         terms.append((coeff, tuple(factors)))

@@ -15,6 +15,9 @@ from instances import (
 
 from schurcert.certify import (
     BlockFormInstance,
+    HI2Result,
+    HodgeIndexResult,
+    LogConcavityReport,
     Nef2Coefficients,
     block_form_check,
     discrete_logconcave,
@@ -46,6 +49,12 @@ class TestHodgeIndex:
         q = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         res = hodge_index_check(q, [1, 0], [0, 1])
         assert res.lhs == -1 and res.rhs == 0 and res.holds and not res.equality
+
+    def test_flags_are_read_off_lhs_and_rhs(self):
+        res = HodgeIndexResult(2, 1, None)
+        assert not res.holds and not res.equality and not res.proportional
+        hi = HI2Result(1, 1, False)
+        assert hi.holds and hi.equality
 
     def test_equality_iff_proportional(self):
         q = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
@@ -144,7 +153,7 @@ class TestQuarticNonneg:
 class TestNef2:
     def test_boundary_class(self):
         v = nef2_membership(Nef2Coefficients.of(0, 8, 0, 0, 0, 3))
-        assert v.member and v.quartic_identically_zero
+        assert v.member and v.boundary and v.quartic_identically_zero
         eq = dict((name, equality) for name, _, equality in v.conditions)
         assert eq["quartic"]
 
@@ -217,7 +226,12 @@ class TestLogconcavityReport:
         e = SplitBundle(m, (h, m.degree_one([2])))
         rep = schur_logconcavity_report(e, Partition([2]), h)
         assert rep.values == (Fraction(1), Fraction(3), Fraction(2))
-        assert rep.strict and rep.positive
+        assert rep.strict and rep.positive and rep.counterexamples == ()
+
+    def test_nonpositive_values_are_counterexamples(self):
+        rep = LogConcavityReport((Fraction(1), Fraction(0), Fraction(-2)))
+        assert not rep.positive and not rep.strict
+        assert rep.counterexamples == ("f(1)=0 is not positive", "f(2)=-2 is not positive")
 
     def test_chern_number_specialization(self):
         # mu = (rank) turns the sequence into plain Chern numbers.

@@ -340,7 +340,7 @@ class TestVerdicts:
         rep = hodge_riemann_verdict(sq1 + sq2 * Fraction(7, 2), w1)
         assert rep.triple == (2, 0, 14) and not rep.hr_flag and rep.hl_flag
         rep = hodge_riemann_verdict(sq1 + sq2 * 3, w1)
-        assert rep.n_zero >= 1 and not rep.hl_flag and not rep.hr_flag
+        assert rep.triple[1] >= 1 and not rep.hl_flag and not rep.hr_flag
         rep = hodge_riemann_verdict(sq1, w1)
         assert rep.triple == (1, 0, 15) and rep.hr_flag and rep.hl_flag
         assert rep.positivity_scalar == 24

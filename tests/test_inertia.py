@@ -9,9 +9,9 @@ from instances import random_invertible_matrix, random_symmetric_matrix
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
 from schurcert.inertia import (
+    HodgeRiemannVerdict,
     congruence_diagonal,
     congruent,
-    inertia,
     inertia_triple,
     kernel_basis,
     quadratic_value,
@@ -28,21 +28,22 @@ def test_spec_examples():
 
 
 def test_report_fields():
-    rep = inertia([[0, 20, 0], [20, 0, 0], [0, 0, 40]])
-    assert rep.triple == (2, 0, 1)
-    assert rep.det_sign == -1
-    assert rep.hl_flag
-    assert rep.hr_flag is None
-    zero = inertia([[0, 0], [0, 0]])
-    assert zero.det_sign == 0 and not zero.hl_flag
-    assert str(rep) == "(2,0,1)"
+    # HR needs a positive integral and inertia (1, 0, n-1); HL needs n0 = 0.
+    for triple, positivity, hr, hl in [
+        ((1, 0, 15), 1, True, True),
+        ((1, 0, 15), -1, False, True),
+        ((2, 0, 14), 1, False, True),
+        ((1, 1, 14), 1, False, False),
+    ]:
+        rep = HodgeRiemannVerdict(triple, Fraction(positivity))
+        assert (rep.hr_flag, rep.hl_flag) == (hr, hl)
 
 
 def test_rejects_non_symmetric():
     with pytest.raises(ValidationError):
-        inertia([[0, 1], [2, 0]])
+        inertia_triple([[0, 1], [2, 0]])
     with pytest.raises(ValidationError):
-        inertia([[1, 2, 3], [2, 1, 1]])
+        inertia_triple([[1, 2, 3], [2, 1, 1]])
 
 
 def test_agrees_with_charpoly_oracle():

@@ -194,6 +194,27 @@ def test_combination_with_products_and_signs():
     )
 
 
+HR_TASK = "[hermitian a]\nrow = 1\n\n[task hr-check]\ndimension = 1\nreference = a\n"
+RING_EVAL = "[model]\nmodel = proj(1)\n\n" + "[bundle]\n" + "root = 1\n" * 3 + "\n[task ring-eval]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A combination factor is a form name only if its base is an identifier.
+        (HR_TASK + "combination = ٣*a\n", "line 7, column 1: bad coefficient '٣'"),
+        (HR_TASK + "combination = (a)\n", "line 7, column 1: bad coefficient '(a)'"),
+        # A partition holds no '/', so the order is everything after the first.
+        (RING_EVAL + "derived = 1 / 3/00\n", "line 10, column 1: bad derived order '3/00'"),
+    ],
+    ids=["non-ascii-coefficient", "parenthesised-name", "fraction-order"],
+)
+def test_refusal_names_the_bad_part_of_an_entry(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("header", ["[bundle]", "[hermitian h]", "[model]"])
 def test_empty_section_reports_its_header_line(header):
     with pytest.raises(ScenarioError) as exc:
