@@ -57,12 +57,12 @@ def _to_rows(matrix: Matrix) -> list[list[Fraction | int]]:
 def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
     """Diagonal of D = P^T M P for a symmetric M, with det P = +-1.
 
-    Appends ``d`` for each nonzero diagonal pivot, the pair ``(a, -a)`` for
-    each hyperbolic split of an off-diagonal pivot ``a`` and one ``0`` for
-    each row of the zero block that remains.  Every step is a congruence of
+    Appends the pivot ``d`` of each elimination step and one ``0`` for each
+    row of the zero block that remains.  Every step is a congruence of
     determinant +-1: a symmetric swap (choosing the pivot), a unit-triangular
-    Schur complement, and the basis change e_j + e_k/2, e_j - e_k/2, which
-    has determinant -1 and takes [[0, a], [a, 0]] to diag(a, -a).  So the
+    Schur complement, and, when no nonzero diagonal entry is left but an
+    off-diagonal entry m_jk is, the shear e_j -> e_j + e_k, which has
+    determinant 1 and makes the diagonal entry at j equal to 2 m_jk.  So the
     signs of the entries give the inertia, the number of nonzero entries the
     rank, and their product det M.  Non-symmetric input is rejected.
 
@@ -70,8 +70,10 @@ def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
     A = L*M, L > 0 the lcm of the denominators.  Once the pivots S are
     eliminated, entry (r, s) holds the integer minor det A[S+r, S+s], and
     each update divides exactly by the previous leading minor
-    ``prev = det A[S, S]``.  The Schur complement of M at (r, s) is that
-    minor over ``L * prev``, so the pivots are read off as exact ratios.
+    ``prev = det A[S, S]``.  A shear acts on rows and columns outside S
+    only, so the stored minors are those of the sheared A and ``prev`` is
+    unchanged.  The Schur complement of M at (r, s) is that minor over
+    ``L * prev``, so the pivots are read off as exact ratios.
     """
     rows = _to_rows(matrix)
     scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -81,39 +83,30 @@ def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
     diag: list[Fraction] = []
     while live:
         pivot = next((j for j in live if m[j][j]), None)
-        if pivot is not None:
-            d = m[pivot][pivot]
-            diag.append(Fraction(d, prev * scale))
-            live.remove(pivot)
-            row_p = m[pivot]
-            for x, r in enumerate(live):
-                row = m[r]
-                cr = row_p[r]
-                for s in live[x:]:
-                    v = (d * row[s] - cr * row_p[s]) // prev
-                    row[s] = v
-                    m[s][r] = v
-            prev = d
-            continue
-        off = next(((j, k) for j in live for k in live if k > j and m[j][k]), None)
-        if off is None:
-            break  # remaining block is zero
-        j, k = off
-        a = m[j][k]
-        diag += [Fraction(a, prev * scale), Fraction(-a, prev * scale)]
-        live.remove(j)
-        live.remove(k)
-        row_j, row_k = m[j], m[k]
-        # det A[S+j+k+r, S+j+k+s] = -a (a m_rs - m_rj m_ks - m_rk m_js) / prev^2
-        square = prev * prev
+        if pivot is None:
+            off = next(((j, k) for j in live for k in live if k > j and m[j][k]), None)
+            if off is None:
+                break  # remaining block is zero
+            pivot, k = off
+            # Shear e_j -> e_j + e_k: row j += row k, then column j += column k.
+            row_p, row_k = m[pivot], m[k]
+            for s in live:
+                row_p[s] += row_k[s]
+            row_p[pivot] += row_p[k]
+            for s in live:
+                m[s][pivot] = row_p[s]
+        d = m[pivot][pivot]
+        diag.append(Fraction(d, prev * scale))
+        live.remove(pivot)
+        row_p = m[pivot]
         for x, r in enumerate(live):
             row = m[r]
-            rj, rk = row_j[r], row_k[r]
+            cr = row_p[r]
             for s in live[x:]:
-                v = -a * (a * row[s] - rj * row_k[s] - rk * row_j[s]) // square
+                v = (d * row[s] - cr * row_p[s]) // prev
                 row[s] = v
                 m[s][r] = v
-        prev = -a * a // prev
+        prev = d
     return diag + [Fraction(0)] * len(live)
 
 

@@ -180,8 +180,6 @@ def odd_multiplicity_part(p: QPoly) -> QPoly:
     """
     if p.is_zero():
         raise ValidationError("zero polynomial has no square-free decomposition")
-    if p.degree() == 0:
-        return QPoly((1,))
     p = p.primitive()
     factors: list[QPoly] = []  # factors[i] has multiplicity i+1
     g = poly_gcd(p, p.derivative())
@@ -218,31 +216,16 @@ def sturm_chain(p: QPoly) -> list[QPoly]:
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(signs: Sequence[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
-
-
-def _sign_at(p: QPoly, x, infinity: int) -> int:
-    """Sign of p at the point, or at -inf/+inf when ``infinity`` is -1/+1."""
-    if p.is_zero():
-        return 0
-    if infinity == 0:
-        return _sign(p(x))
-    s = _sign(p.leading())
-    if infinity < 0 and p.degree() % 2 == 1:
-        s = -s
-    return s
-
-
-def _variations_at(chain: Sequence[QPoly], x: Fraction | None, infinity: int = 0) -> int:
-    """Sign variations of a Sturm chain at ``x``, or at ``infinity`` (-1 or
-    +1) when x is None."""
-    return _variations([_sign_at(q, x, 0 if x is not None else infinity) for q in chain])
+def _variations_at(chain: Sequence[QPoly], x: Fraction | None, side: int = 1) -> int:
+    """Sign variations of a Sturm chain at the rational ``x``, or, when x is
+    None, at ``side`` * infinity, where each member has the sign of its
+    leading term times side^degree."""
+    if x is None:
+        values = [q.leading() * side ** q.degree() for q in chain]
+    else:
+        values = [q(x) for q in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(
@@ -254,10 +237,8 @@ def count_real_roots(
     """
     if p.is_zero():
         raise ValidationError("zero polynomial has every point as a root")
-    if p.degree() == 0:
-        return 0
     chain = sturm_chain(p)
-    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1)
+    return _variations_at(chain, lo, -1) - _variations_at(chain, hi)
 
 
 def cauchy_root_bound(p: QPoly) -> Fraction:
@@ -303,11 +284,6 @@ def nonneg_on_reals(p: QPoly) -> bool:
     """
     if p.is_zero():
         return True
-    if p.degree() == 0:
-        return p.leading() > 0
     if p.degree() % 2 == 1 or p.leading() < 0:
         return False
-    odd = odd_multiplicity_part(p)
-    if odd.degree() <= 0:
-        return True
-    return count_real_roots(odd) == 0
+    return count_real_roots(odd_multiplicity_part(p)) == 0

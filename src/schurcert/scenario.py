@@ -170,15 +170,18 @@ def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
     return mu, order
 
 
+_TERM_START = re.compile(r"(?<![*^\s])\s*(?=[+-])")
+
+
 def _combination(value: str, model: RingModel | None) -> tuple:
     """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...).
 
     A factor whose base (before ``^``) is an identifier is a form name;
-    every other factor is a rational coefficient."""
-    text = value.replace("-", "+-")
+    every other factor is a rational coefficient.  A sign starts a new
+    term unless the last non-blank character before it is ``*`` or ``^``."""
     terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
+    for chunk in _TERM_START.split(value):
+        chunk = chunk.strip().removeprefix("+").strip()
         if not chunk:
             continue
         coeff = Fraction(-1 if chunk.startswith("-") else 1)

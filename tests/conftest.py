@@ -538,48 +538,43 @@ def hr_gram_oracle(omega: GaussianForm, basis) -> list[list[Fraction]]:
 
 def congruence_diagonal_oracle(matrix) -> tuple[list[Fraction], int]:
     """Congruence diagonal by ``Fraction`` elimination, and the number of
-    hyperbolic splits it took.
+    shears it took.
 
     The reduction the inertia module ran before it went fraction-free: the
     same pivot order (first nonzero diagonal entry, else the first nonzero
-    off-diagonal entry split as (a, -a)), with every Schur complement
-    formed over the rationals.
+    off-diagonal entry m_jk, sheared in by e_j -> e_j + e_k), with every
+    Schur complement formed over the rationals.
     """
     m = [[Fraction(x) for x in row] for row in matrix]
     live = list(range(len(m)))
     diag: list[Fraction] = []
-    splits = 0
+    shears = 0
     while live:
         pivot = next((j for j in live if m[j][j] != 0), None)
-        if pivot is not None:
-            d = m[pivot][pivot]
-            diag.append(d)
-            live.remove(pivot)
-            col = {r: m[r][pivot] for r in live}
-            for r in live:
-                cr = col[r]
-                if cr == 0:
-                    continue
-                for s in live:
-                    m[r][s] -= cr * col[s] / d
-            continue
-        off = next(
-            ((j, k) for j in live for k in live if k > j and m[j][k] != 0), None
-        )
-        if off is None:
-            break
-        j, k = off
-        a = m[j][k]
-        diag += [a, -a]
-        splits += 1
-        live.remove(j)
-        live.remove(k)
-        colj = {r: m[r][j] for r in live}
-        colk = {r: m[r][k] for r in live}
-        for r in live:
+        if pivot is None:
+            off = next(
+                ((j, k) for j in live for k in live if k > j and m[j][k] != 0), None
+            )
+            if off is None:
+                break
+            pivot, k = off
+            shears += 1
             for s in live:
-                m[r][s] -= (colj[r] * colk[s] + colk[r] * colj[s]) / a
-    return diag + [Fraction(0)] * len(live), splits
+                m[pivot][s] += m[k][s]
+            m[pivot][pivot] += m[pivot][k]
+            for s in live:
+                m[s][pivot] = m[pivot][s]
+        d = m[pivot][pivot]
+        diag.append(d)
+        live.remove(pivot)
+        col = {r: m[r][pivot] for r in live}
+        for r in live:
+            cr = col[r]
+            if cr == 0:
+                continue
+            for s in live:
+                m[r][s] -= cr * col[s] / d
+    return diag + [Fraction(0)] * len(live), shears
 
 
 def chord_strict_oracle(values) -> bool:

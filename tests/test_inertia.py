@@ -119,7 +119,7 @@ def test_rational_det_and_rank():
 
 def _sparse_symmetric(rng, n):
     """About 40% zero entries; half the draws have an all-zero diagonal, so
-    the reduction must take hyperbolic pivots."""
+    the reduction must shear an off-diagonal entry onto the diagonal."""
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -157,17 +157,48 @@ def test_congruence_diagonal_gives_det_inertia_and_rank():
 
 
 def test_fraction_free_diagonal_matches_fraction_oracle():
-    hyperbolic = from_zero_diagonal = 0
+    sheared = from_zero_diagonal = 0
     for m, p in _seeded_sparse_cases():
-        expected, splits = congruence_diagonal_oracle(m)
+        expected, shears = congruence_diagonal_oracle(m)
         assert congruence_diagonal(m) == expected
-        hyperbolic += splits > 0
-        from_zero_diagonal += splits > 0 and all(m[i][i] == 0 for i in range(len(m)))
+        sheared += shears > 0
+        from_zero_diagonal += shears > 0 and all(m[i][i] == 0 for i in range(len(m)))
         # A congruent copy with larger denominators and entries.
         mp = congruent(m, p)
         assert congruence_diagonal(mp) == congruence_diagonal_oracle(mp)[0]
     # 76 start from an all-zero diagonal; 5 more reach a zero block later.
-    assert (hyperbolic, from_zero_diagonal) == (81, 76)
+    assert (sheared, from_zero_diagonal) == (81, 76)
+
+
+def test_shear_doubles_the_off_diagonal_entry():
+    # e_0 -> e_0 + e_1 takes [[0, 3], [3, 0]] to [[6, 3], [3, 0]].
+    assert congruence_diagonal([[0, 3], [3, 0]]) == [6, Fraction(-3, 2)]
+
+
+def test_shear_after_a_nonzero_pivot():
+    # d (+) H with H zero-diagonal, mixed by e_i -> e_i + c_i e_0: the first
+    # pivot is d, its Schur complement is H, so the shear comes with an
+    # even scale L and prev = d * L, a multiple of 3, 5 or 7.
+    rng = random.Random(1905)
+    for _ in range(20):
+        n = rng.randint(3, 6)
+        d = Fraction(rng.choice([-5, -3, 3, 7]), rng.choice([2, 4]))
+        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n - 1)]
+        h = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+        for i in range(n - 1):
+            for j in range(i + 1, n - 1):
+                h[i][j] = h[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        h[0][1] = h[1][0] = Fraction(rng.choice([-3, -1, 1, 5]), 2)
+        m = [[d] + [d * ci for ci in c]] + [
+            [d * c[i]] + [h[i][j] + d * c[i] * c[j] for j in range(n - 1)]
+            for i in range(n - 1)
+        ]
+        expected, shears = congruence_diagonal_oracle(m)
+        assert shears > 0
+        assert congruence_diagonal(m) == expected
+        assert expected[0] == d
+        assert rational_det(m) == det_in_ring(m, Fraction(1))
+        assert inertia_triple(m) == inertia_by_charpoly(m)
 
 
 def test_fraction_free_diagonal_on_scaled_and_degenerate_input():

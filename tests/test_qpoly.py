@@ -71,6 +71,14 @@ def test_sturm_root_counts():
     assert count_real_roots(cubic, Fraction(0), None) == 2
 
 
+def test_constant_polynomials_take_the_general_rule():
+    assert count_real_roots(QPoly.of(7)) == 0
+    assert count_real_roots(QPoly.of(7), Fraction(-3), Fraction(5)) == 0
+    assert count_real_roots(QPoly.of(7), None, Fraction(0)) == 0
+    assert odd_multiplicity_part(QPoly.of(-5)) == QPoly.of(1)
+    assert sturm_chain(QPoly.of(3)) == [QPoly.of(1)]
+
+
 def test_sturm_chain_on_multiple_roots_uses_squarefree_part():
     x = QPoly.of(0, 1)
     p = (x - QPoly.of(2)) ** 3

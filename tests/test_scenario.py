@@ -194,6 +194,29 @@ def test_combination_with_products_and_signs():
     )
 
 
+@pytest.mark.parametrize(
+    "combination, coefficients",
+    [
+        ("a^2*-3 + 4*a^2", (Fraction(-3), Fraction(4))),
+        ("a^2*+3", (Fraction(3),)),
+        ("a^2 * -3/4 - a*b", (Fraction(-3, 4), Fraction(-1))),
+        ("+3*a", (Fraction(3),)),
+        ("-3/4*a", (Fraction(-3, 4),)),
+        ("a + -3*b", (Fraction(1), Fraction(-3))),
+    ],
+    ids=["minus-after-star", "plus-after-star", "fraction-after-star", "leading-plus",
+         "leading-minus", "sign-after-plus"],
+)
+def test_sign_after_star_belongs_to_the_coefficient(combination, coefficients):
+    text = (
+        "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 2\n\n"
+        "[task hr-check]\ndimension = 1\nreference = a\n"
+        f"combination = {combination}\n"
+    )
+    combo = parse(text).tasks["hr-check"]["combination"]
+    assert tuple(coeff for coeff, _ in combo) == coefficients
+
+
 HR_TASK = "[hermitian a]\nrow = 1\n\n[task hr-check]\ndimension = 1\nreference = a\n"
 RING_EVAL = "[model]\nmodel = proj(1)\n\n" + "[bundle]\n" + "root = 1\n" * 3 + "\n[task ring-eval]\n"
 
