@@ -367,10 +367,13 @@ def hi2_check(
 ) -> HI2Result:
     """Certify the mixed Chern-class inequality for an ample split bundle.
 
-    Requires rank >= d - 1; equality is expected exactly at alpha = 0.
+    Requires d >= 2 and rank >= d - 1; equality is expected exactly at
+    alpha = 0.
     """
     model = bundle.model
     d = model.dimension
+    if d < 2:
+        raise PreconditionError(f"dimension {d} too small: the inequality needs d >= 2")
     if bundle.rank < d - 1:
         raise PreconditionError(
             f"rank {bundle.rank} too small: the inequality needs rank >= {d - 1}"

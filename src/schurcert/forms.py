@@ -8,10 +8,12 @@ hr-check at d=8 takes about 0.3 s):
 
 A form keeps its coefficients as Gaussian-integer numerators over one
 denominator (see :class:`PQForm`), so wedge products, sums, top integrals
-and Gram entries are integer arithmetic.  ``GaussianRational`` appears only
-where forms meet caller data: the coefficients and matrix entries that the
-constructors (``hermitian_form`` among them) and scalar multiplication
-take, and the values of ``coefficient``.
+and Gram entries are integer arithmetic.  ``GaussianRational`` is a value
+with no arithmetic, and it appears only where forms meet caller data: the
+coefficients and matrix entries that the constructors (``hermitian_form``
+among them) and scalar multiplication take, and the values of
+``coefficient``.  The tests recompute wedges, top integrals and Grams with
+field arithmetic over Q(i) (``conftest.GaussianForm``) and compare.
 
 Conventions, validated by tests before anything is built on them:
 
@@ -164,7 +166,8 @@ class PQForm:
 
     @classmethod
     def one(cls, dim: int) -> "PQForm":
-        return cls(dim, 0, 0, {(0, 0): GaussianRational(1)})
+        _check_dim(dim)
+        return cls._from_numerators(dim, 0, 0, {(0, 0): (1, 0)}, 1)
 
     @classmethod
     def dz_dzbar(cls, dim: int, j: int, k: int, coeff=1) -> "PQForm":

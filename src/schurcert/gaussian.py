@@ -8,7 +8,12 @@ from .errors import ValidationError, exact_rational
 
 
 class GaussianRational:
-    """A number a + b*i with a, b exact rationals; a field, exactly."""
+    """The value a + b*i with a, b exact rationals.
+
+    It carries coefficients and matrix entries across the forms boundary;
+    the forms kernel computes on integer numerators, so this class has no
+    arithmetic of its own.
+    """
 
     __slots__ = ("re", "im")
 
@@ -31,51 +36,11 @@ class GaussianRational:
     def i(cls) -> "GaussianRational":
         return cls(0, 1)
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero()
-
-    def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
 
     def __eq__(self, other):
         try:

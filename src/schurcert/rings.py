@@ -208,13 +208,6 @@ class GradedClass:
         """The coefficients in basis order, as ``Fraction``s."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    def monomials(self) -> dict[Monomial, Fraction]:
-        return {
-            mono: Fraction(n, self.den)
-            for mono, n in zip(self.model.basis(self.grade), self.nums)
-            if n
-        }
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -398,10 +391,6 @@ class SplitBundle:
     @property
     def rank(self) -> int:
         return len(self.roots)
-
-    def twisted(self, delta: GradedClass) -> "SplitBundle":
-        """The same bundle with the twist increased by ``delta``."""
-        return SplitBundle(self.model, self.roots, delta)
 
     def is_ample(self) -> bool:
         """Whether every root passes ``RingModel.is_ample``."""

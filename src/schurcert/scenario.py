@@ -170,23 +170,30 @@ def _derived(value: str, model: RingModel | None) -> tuple[Partition, int]:
     return mu, order
 
 
-_TERM_START = re.compile(r"(?<![*^\s])\s*(?=[+-])")
+_TERM_START = re.compile(r"(?<=[^*^+\s-])\s*(?=[+-])")
+_SIGN_RUN = re.compile(r"[+\s-]*")
 
 
 def _combination(value: str, model: RingModel | None) -> tuple:
     """Parse ``c1*name^k*... + c2*...`` into ((coeff, ((name, pow), ...)), ...).
 
-    A factor whose base (before ``^``) is an identifier is a form name;
-    every other factor is a rational coefficient.  A sign starts a new
-    term unless the last non-blank character before it is ``*`` or ``^``."""
+    A term is a run of signs, blanks allowed between them, and one or more
+    ``*``-separated factors; the term's sign is the product of the run.  A
+    sign right after ``*`` or ``^`` (the last non-blank character before it)
+    belongs to its factor instead, as in ``a^2*-3``.  A factor whose base
+    (before ``^``) is an identifier is a form name; every other factor is a
+    rational coefficient."""
+    if not value.strip():
+        raise ValidationError("empty combination")
     terms = []
     for chunk in _TERM_START.split(value):
-        chunk = chunk.strip().removeprefix("+").strip()
-        if not chunk:
-            continue
-        coeff = Fraction(-1 if chunk.startswith("-") else 1)
+        run = _SIGN_RUN.match(chunk).group()
+        body = chunk[len(run) :]
+        if not body.strip():
+            raise ValidationError("empty term in combination")
+        coeff = Fraction(-1 if run.count("-") & 1 else 1)
         factors: list[tuple[str, int]] = []
-        for factor in chunk.removeprefix("-").split("*"):
+        for factor in body.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValidationError("empty factor in combination")
@@ -202,8 +209,6 @@ def _combination(value: str, model: RingModel | None) -> tuple:
         if not factors:
             raise ValidationError("combination term without a form name")
         terms.append((coeff, tuple(factors)))
-    if not terms:
-        raise ValidationError("empty combination")
     return tuple(terms)
 
 

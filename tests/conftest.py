@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-import pytest
-
 from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate, schur
 from schurcert.errors import ValidationError
 from schurcert.forms import PQForm
@@ -23,6 +21,66 @@ from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
 from schurcert.rings import GradedClass, multiply
+
+
+class GaussianField(GaussianRational):
+    """The oracle's scalar: a ``GaussianRational`` with the field
+    arithmetic of Q(i).
+
+    ``coerce`` turns a plain ``GaussianRational`` (a ``PQForm.coefficient``
+    value, say) into this class, so oracle arithmetic never meets the
+    arithmetic-free value.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def coerce(cls, value) -> "GaussianField":
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, GaussianRational):
+            return cls(value.re, value.im)
+        return super().coerce(value)
+
+    def conj(self) -> "GaussianField":
+        return GaussianField(self.re, -self.im)
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __add__(self, other):
+        other = GaussianField.coerce(other)
+        return GaussianField(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianField(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-GaussianField.coerce(other))
+
+    def __rsub__(self, other):
+        return GaussianField.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = GaussianField.coerce(other)
+        return GaussianField(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = GaussianField.coerce(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianField(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
 
 
 def inertia_by_charpoly(matrix) -> tuple[int, int, int]:
@@ -334,14 +392,14 @@ def schur_class_ssyt_oracle(bundle, lam: Partition):
     return total
 
 
-def _gaussian_det(rows) -> GaussianRational:
+def _gaussian_det(rows) -> GaussianField:
     n = len(rows)
     m = [row[:] for row in rows]
-    det = GaussianRational(1)
+    det = GaussianField(1)
     for col in range(n):
         pr = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if pr is None:
-            return GaussianRational(0)
+            return GaussianField(0)
         if pr != col:
             m[col], m[pr] = m[pr], m[col]
             det = -det
@@ -382,10 +440,10 @@ def _merge_sign(a: int, b: int) -> int:
 
 
 class GaussianForm:
-    """Oracle (p,q)-form: a map from (I, J) bitmasks to ``GaussianRational``.
+    """Oracle (p,q)-form: a map from (I, J) bitmasks to ``GaussianField``.
 
     Its wedge is the loop the forms module ran before its integer kernel,
-    one ``GaussianRational`` product per pair of terms, so comparing a
+    one ``GaussianField`` product per pair of terms, so comparing a
     ``PQForm`` with it checks the numerator/denominator arithmetic against
     field arithmetic that shares none of it.  It supports what the
     generic ``elementary_symmetric`` and ``evaluate`` need.
@@ -394,7 +452,7 @@ class GaussianForm:
     def __init__(self, dim: int, p: int, q: int, coeffs):
         self.dim, self.p, self.q = dim, p, q
         self.coeffs = {
-            key: GaussianRational.coerce(c) for key, c in coeffs.items() if c != 0
+            key: GaussianField.coerce(c) for key, c in coeffs.items() if c != 0
         }
 
     @classmethod
@@ -403,13 +461,13 @@ class GaussianForm:
 
     @classmethod
     def one(cls, dim: int) -> "GaussianForm":
-        return cls(dim, 0, 0, {(0, 0): GaussianRational(1)})
+        return cls(dim, 0, 0, {(0, 0): GaussianField(1)})
 
     def __add__(self, other: "GaussianForm") -> "GaussianForm":
         assert (self.dim, self.p, self.q) == (other.dim, other.p, other.q)
         merged = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            merged[key] = merged.get(key, GaussianRational(0)) + c
+            merged[key] = merged.get(key, GaussianField(0)) + c
         return GaussianForm(self.dim, self.p, self.q, merged)
 
     def __neg__(self) -> "GaussianForm":
@@ -421,7 +479,7 @@ class GaussianForm:
     def __mul__(self, other):
         if isinstance(other, GaussianForm):
             return wedge_oracle(self, other)
-        s = GaussianRational.coerce(other)
+        s = GaussianField.coerce(other)
         return GaussianForm(
             self.dim, self.p, self.q, {k: c * s for k, c in self.coeffs.items()}
         )
@@ -442,7 +500,7 @@ class GaussianForm:
 
 
 def wedge_oracle(a: GaussianForm, b: GaussianForm) -> GaussianForm:
-    """Exterior product over ``GaussianRational``: the Koszul sign
+    """Exterior product over ``GaussianField``: the Koszul sign
     (-1)^(|J||K|) times the shuffle signs of I|K and J|L, per pair of terms."""
     out: dict = {}
     block_parity = (a.q * b.p) & 1
@@ -460,9 +518,9 @@ def wedge_oracle(a: GaussianForm, b: GaussianForm) -> GaussianForm:
     return GaussianForm(a.dim, a.p + b.p, a.q + b.q, out)
 
 
-def _top_coefficient_oracle(a: GaussianForm, b: GaussianForm) -> GaussianRational:
+def _top_coefficient_oracle(a: GaussianForm, b: GaussianForm) -> GaussianField:
     full = (1 << a.dim) - 1
-    total = GaussianRational(0)
+    total = GaussianField(0)
     block_parity = (a.q * b.p) & 1
     for (i1, j1), c1 in a.coeffs.items():
         key = (full & ~i1, full & ~j1)
@@ -476,20 +534,20 @@ def _top_coefficient_oracle(a: GaussianForm, b: GaussianForm) -> GaussianRationa
     return total
 
 
-def _volume_oracle(dim: int) -> GaussianRational:
+def _volume_oracle(dim: int) -> GaussianField:
     vol = GaussianForm.one(dim)
     for j in range(dim):
         vol = wedge_oracle(
-            vol, GaussianForm(dim, 1, 1, {(1 << j, 1 << j): GaussianRational.i()})
+            vol, GaussianForm(dim, 1, 1, {(1 << j, 1 << j): GaussianField.i()})
         )
     full = (1 << dim) - 1
     return vol.coeffs[(full, full)]
 
 
 def integrate_top_oracle(omega: GaussianForm) -> Fraction:
-    """Top integral of a real (d,d)-form over ``GaussianRational``."""
+    """Top integral of a real (d,d)-form over ``GaussianField``."""
     full = (1 << omega.dim) - 1
-    r = omega.coeffs.get((full, full), GaussianRational(0)) / _volume_oracle(omega.dim)
+    r = omega.coeffs.get((full, full), GaussianField(0)) / _volume_oracle(omega.dim)
     assert r.im == 0
     return r.re
 
@@ -523,7 +581,7 @@ def real_oneone_basis(dim: int) -> tuple[PQForm, ...]:
 
 def hr_gram_oracle(omega: GaussianForm, basis) -> list[list[Fraction]]:
     """The Hodge-Riemann Gram of ``omega`` on ``basis`` (oracle forms), by
-    oracle wedges and top coefficients over ``GaussianRational``."""
+    oracle wedges and top coefficients over ``GaussianField``."""
     vol = _volume_oracle(omega.dim)
     mids = [wedge_oracle(b, omega) for b in basis]
     n = len(basis)
@@ -603,11 +661,6 @@ def proportionality_oracle(v, h) -> Fraction | None:
         return None
     kappa = v[pivot] / h[pivot]
     return kappa if all(v[i] == kappa * h[i] for i in range(len(v))) else None
-
-
-@pytest.fixture
-def gaussian():
-    return GaussianRational
 
 
 def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from conftest import GaussianField
+
 from schurcert.certify import BlockFormInstance
 from schurcert.chernpoly import det_in_ring
 from schurcert.errors import ValidationError
 from schurcert.forms import PQForm, hermitian_form
-from schurcert.gaussian import GaussianRational
 from schurcert.inertia import congruent
 from schurcert.rings import GradedClass, RingModel, SplitBundle
 
@@ -139,7 +140,7 @@ def random_pd_hermitian(rng: random.Random, dim: int) -> PQForm:
     """The Kaehler form of B* B + I for a random Gaussian-rational B."""
     b = [
         [
-            GaussianRational(
+            GaussianField(
                 Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
             )
             for _ in range(dim)
@@ -150,7 +151,7 @@ def random_pd_hermitian(rng: random.Random, dim: int) -> PQForm:
         [
             sum(
                 (b[k][i].conj() * b[k][j] for k in range(dim)),
-                GaussianRational(1 if i == j else 0),
+                GaussianField(1 if i == j else 0),
             )
             for j in range(dim)
         ]

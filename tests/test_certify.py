@@ -178,18 +178,22 @@ class TestNef2:
         assert not nef2_membership(Nef2Coefficients.of(1, 0, 1, 0, 0, 1)).member
 
     def test_to_class_roundtrip(self):
-        from schurcert.rings import abelian_square
+        from schurcert.rings import GradedClass, abelian_square
 
         model = abelian_square()
         cls = Nef2Coefficients.of(1, 2, 3, 4, 5, 6).to_class(model)
-        assert cls.monomials() == {
-            (2, 0, 0): Fraction(1),
-            (1, 1, 0): Fraction(2),
-            (0, 2, 0): Fraction(3),
-            (1, 0, 1): Fraction(4),
-            (0, 1, 1): Fraction(5),
-            (0, 0, 2): Fraction(6),
-        }
+        assert cls == GradedClass.from_monomials(
+            model,
+            2,
+            {
+                (2, 0, 0): 1,
+                (1, 1, 0): 2,
+                (0, 2, 0): 3,
+                (1, 0, 1): 4,
+                (0, 1, 1): 5,
+                (0, 0, 2): 6,
+            },
+        )
 
 
 class TestDiscreteLogconcave:
@@ -342,6 +346,12 @@ class TestHI2:
         e = SplitBundle(m, (m.degree_one([1, 1]), m.degree_one([1, 2])))
         with pytest.raises(PreconditionError, match="rank 2 too small"):
             hi2_check(e, m.degree_one([1, 1]), m.degree_one([1, 0]))
+
+    def test_dimension_one_refused_before_any_chern_class(self):
+        m = proj(1)
+        e = SplitBundle(m, (m.degree_one([1]),))
+        with pytest.raises(PreconditionError, match="dimension 1 too small"):
+            hi2_check(e, m.degree_one([1]), m.degree_one([1]))
 
 
 class TestHLFailureScan:

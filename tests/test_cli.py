@@ -307,10 +307,16 @@ class TestLogconcaveAndHi2:
                 "[task hi2]\nh = 1,1\nalpha = 1,0\n",
                 "rank 2 too small: the inequality needs rank >= 3",
             ),
+            (
+                "hi2",
+                "[model]\nmodel = proj(1)\n\n[bundle]\nroot = 1\n\n"
+                "[task hi2]\nh = 1\nalpha = 1\n",
+                "dimension 1 too small: the inequality needs d >= 2",
+            ),
         ],
         ids=[
             "hi2-abelian-model", "logconcave-non-ample-bundle", "hi2-non-ample-h",
-            "hi2-rank-below-dim",
+            "hi2-rank-below-dim", "hi2-dimension-one",
         ],
     )
     def test_ampleness_refusals_exit_3(self, capsys, tmp_path, command, text, message):

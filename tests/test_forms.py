@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    GaussianField,
     GaussianForm,
     _top_coefficient_oracle,
     gaussian_coefficients,
@@ -210,7 +211,7 @@ class TestKahlerCheck:
         form = hermitian_form(h)
         for j in range(2):
             for k in range(2):
-                assert form.coefficient((1 << j, 1 << k)) == GaussianRational.i() * h[j][k]
+                assert form.coefficient((1 << j, 1 << k)) == GaussianField.i() * h[j][k]
 
     @pytest.mark.parametrize(
         "form",
@@ -239,12 +240,12 @@ class TestKahlerCheck:
             for _ in range(8):
                 b = [
                     [
-                        GaussianRational(
+                        GaussianField(
                             1 if i == j else rng.randint(-2, 2),
                             rng.choice((-2, -1, 1, 2)) if i < j else 0,
                         )
                         if i <= j
-                        else GaussianRational(0)
+                        else GaussianField(0)
                         for j in range(d)
                     ]
                     for i in range(d)
@@ -253,7 +254,7 @@ class TestKahlerCheck:
                     [
                         sum(
                             (b[k][i].conj() * b[k][j] * diagonal[k] for k in range(d)),
-                            GaussianRational(0),
+                            GaussianField(0),
                         )
                         for j in range(d)
                     ]

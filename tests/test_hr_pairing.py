@@ -3,15 +3,23 @@
 ``forms.hr_gram`` and ``forms.hodge_riemann_verdict`` read every Gram
 entry and the positivity integral off the coefficients of omega, by the
 sign rule in the ``forms`` module docstring.  These tests compare them with
-routes that wedge: the ``GaussianRational`` oracle of ``conftest`` for the
-Gram, and ``integrate_top`` of the full triple product for the positivity.
+routes that wedge: the ``GaussianForm`` oracle of ``conftest``, whose scalar
+``GaussianField`` has the field arithmetic of Q(i), for the Gram, and
+``integrate_top`` of the full triple product for the positivity.  That top
+integral is itself checked against the oracle's ``integrate_top_oracle``.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from conftest import GaussianForm, _top_coefficient_oracle, hr_gram_oracle, real_oneone_basis
+from conftest import (
+    GaussianForm,
+    _top_coefficient_oracle,
+    hr_gram_oracle,
+    integrate_top_oracle,
+    real_oneone_basis,
+)
 from instances import random_pd_hermitian
 
 from schurcert.forms import (
@@ -62,7 +70,9 @@ def test_positivity_and_inertia_match_the_wedge_route():
         d = omega.dim
         ref = random_pd_hermitian(rng, d) * Fraction(rng.randint(1, 4), rng.randint(1, 5))
         rep = hodge_riemann_verdict(omega, ref)
-        assert rep.positivity_scalar == integrate_top(wedge(wedge(omega, ref), ref))
+        top = wedge(wedge(omega, ref), ref)
+        assert rep.positivity_scalar == integrate_top(top)
+        assert integrate_top(top) == integrate_top_oracle(GaussianForm.of(top))
         assert rep.triple == inertia_triple(hr_gram(omega))
 
 

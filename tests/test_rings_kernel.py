@@ -105,7 +105,9 @@ def test_canonical_form():
     x2 = m.generator(1) * Fraction(1, 3)
     total = x1 + x2 + x1
     assert (total.nums, total.den) == ((1, 1), 3)
-    assert total.monomials() == {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)}
+    assert total == GradedClass.from_monomials(
+        m, 1, {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)}
+    )
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

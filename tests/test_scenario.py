@@ -203,9 +203,17 @@ def test_combination_with_products_and_signs():
         ("+3*a", (Fraction(3),)),
         ("-3/4*a", (Fraction(-3, 4),)),
         ("a + -3*b", (Fraction(1), Fraction(-3))),
+        # A term's sign is the product of its run of signs, after + or - alike.
+        ("a - -3*b", (Fraction(1), Fraction(3))),
+        ("a - + b", (Fraction(1), Fraction(-1))),
+        ("- -a", (Fraction(1),)),
+        ("a + -b", (Fraction(1), Fraction(-1))),
+        ("+ -a", (Fraction(-1),)),
+        ("a + + b", (Fraction(1), Fraction(1))),
     ],
     ids=["minus-after-star", "plus-after-star", "fraction-after-star", "leading-plus",
-         "leading-minus", "sign-after-plus"],
+         "leading-minus", "sign-after-plus", "minus-minus", "minus-plus",
+         "leading-minus-minus", "plus-minus", "leading-plus-minus", "plus-plus"],
 )
 def test_sign_after_star_belongs_to_the_coefficient(combination, coefficients):
     text = (
@@ -227,10 +235,14 @@ RING_EVAL = "[model]\nmodel = proj(1)\n\n" + "[bundle]\n" + "root = 1\n" * 3 + "
         # A combination factor is a form name only if its base is an identifier.
         (HR_TASK + "combination = ٣*a\n", "line 7, column 1: bad coefficient '٣'"),
         (HR_TASK + "combination = (a)\n", "line 7, column 1: bad coefficient '(a)'"),
+        # A run of signs with no factor after it is an empty term.
+        (HR_TASK + "combination = a +\n", "line 7, column 1: empty term in combination"),
+        (HR_TASK + "combination = a -\n", "line 7, column 1: empty term in combination"),
         # A partition holds no '/', so the order is everything after the first.
         (RING_EVAL + "derived = 1 / 3/00\n", "line 10, column 1: bad derived order '3/00'"),
     ],
-    ids=["non-ascii-coefficient", "parenthesised-name", "fraction-order"],
+    ids=["non-ascii-coefficient", "parenthesised-name", "trailing-plus", "trailing-minus",
+         "fraction-order"],
 )
 def test_refusal_names_the_bad_part_of_an_entry(text, message):
     with pytest.raises(ScenarioError) as exc:
