@@ -399,39 +399,7 @@ def hi2_check(
 class PencilScanResult:
     det_first: Fraction
     det_second: Fraction
-    det_poly: QPoly
     interval: tuple[Fraction, Fraction]
-
-
-def gram_pencil_scan(
-    first: Matrix, second: Matrix, reparam: QPoly, width: Fraction
-) -> PencilScanResult:
-    """Scan det(first + u(t) * second) for a positive root, isolated by Sturm.
-
-    ``first`` and ``second`` are symmetric Grams; ``reparam`` is the
-    polynomial u(t); the returned interval has rational endpoints and length
-    below ``width``.
-    """
-    n = len(first)
-    if len(second) != n or any(len(r) != n for r in first) or any(
-        len(r) != n for r in second
-    ):
-        raise ValidationError("pencil matrices must be square of equal size")
-    entries = [
-        [
-            QPoly.constant(first[i][j]) + reparam * exact_rational(second[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det_poly = det_in_ring(entries, QPoly.of(1))
-    interval = isolate_real_root(det_poly, width)
-    return PencilScanResult(
-        det_first=rational_det(first),
-        det_second=rational_det(second),
-        det_poly=det_poly,
-        interval=interval,
-    )
 
 
 def hl_failure_instance() -> tuple[SplitBundle, list[GradedClass]]:
@@ -455,18 +423,22 @@ def hl_failure_instance() -> tuple[SplitBundle, list[GradedClass]]:
     return bundle, basis
 
 
-def hl_failure_scan(width: Fraction = Fraction(1, 10**6)) -> PencilScanResult:
+def hl_failure_scan(width: Fraction) -> PencilScanResult:
     """Scan the grade-2 pairing family of the fixed failure instance.
 
-    The family is Gram(c2) + (2t + 3t^2) Gram(c1^2) on the documented
-    grade-2 basis; the first determinant is negative, the second positive,
-    so the determinant of the family has a sign change on t > 0 which is
-    isolated exactly.
+    The family is R + (2t + 3t^2) S with R = Gram(c2) and S = Gram(c1^2) on
+    the documented grade-2 basis; det R is negative and det S positive, so
+    the determinant of the family, expanded over Q[t], changes sign on
+    t > 0, and its smallest positive root is isolated by Sturm bisection to
+    an interval shorter than ``width``.
     """
     bundle, basis = hl_failure_instance()
-    c2 = chern(bundle, 2)
     c1 = chern(bundle, 1)
-    r = gram_on_basis(c2, basis)
+    r = gram_on_basis(chern(bundle, 2), basis)
     s = gram_on_basis(multiply(c1, c1), basis)
-    return gram_pencil_scan(r, s, QPoly.of(0, 2, 3), width)
-
+    pencil = [
+        [QPoly.of(r_ij, 2 * s_ij, 3 * s_ij) for r_ij, s_ij in zip(r_row, s_row)]
+        for r_row, s_row in zip(r, s)
+    ]
+    interval = isolate_real_root(det_in_ring(pencil, QPoly.of(1)), width)
+    return PencilScanResult(rational_det(r), rational_det(s), interval)

@@ -369,8 +369,9 @@ def _read_section(sc: Scenario, section: str, label: str, entries, header):
 
 
 def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
-    """Exactly one of 'combination' and 'schur' (with 'forms'), and every
-    form named is declared with the task's dimension."""
+    """Exactly one of 'combination' and 'schur' (with 'forms'), no power
+    or Schur weight above the task's dimension, and every form named is
+    declared with the task's dimension."""
     d = task["dimension"]
     if ("combination" in task) == ("schur" in task):
         raise ScenarioError(
@@ -387,6 +388,13 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
                 *where["schur"],
             )
     combination = task.get("combination", ())
+    for _, factors in combination:
+        for name, power in factors:
+            if power > d:  # refused before any wedge is taken
+                raise ScenarioError(
+                    f"power {power} of {name!r} vanishes beyond dimension {d}",
+                    *where["combination"],
+                )
     named = {
         "reference": (task["reference"],),
         "combination": [name for _, factors in combination for name, _ in factors],

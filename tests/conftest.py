@@ -14,13 +14,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
+from schurcert.certify import hl_failure_instance
 from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate, schur
 from schurcert.errors import ValidationError
 from schurcert.forms import PQForm
 from schurcert.gaussian import GaussianRational
+from schurcert.inertia import rational_det
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
-from schurcert.rings import GradedClass, multiply
+from schurcert.rings import GradedClass, chern, gram_on_basis, multiply
 
 
 class GaussianField(GaussianRational):
@@ -661,6 +663,20 @@ def proportionality_oracle(v, h) -> Fraction | None:
         return None
     kappa = v[pivot] / h[pivot]
     return kappa if all(v[i] == kappa * h[i] for i in range(len(v))) else None
+
+
+def hl_pencil_det_oracle(t) -> Fraction:
+    """det(R + (2t + 3t^2) S) at the rational ``t``, for the Grams R of c2
+    and S of c1^2 on ``hl_failure_instance``: one rational determinant per
+    point, where ``hl_failure_scan`` expands the determinant over Q[t]."""
+    bundle, basis = hl_failure_instance()
+    c1 = chern(bundle, 1)
+    r = gram_on_basis(chern(bundle, 2), basis)
+    s = gram_on_basis(multiply(c1, c1), basis)
+    u = 2 * t + 3 * t * t
+    return rational_det(
+        [[r_ij + u * s_ij for r_ij, s_ij in zip(r_row, s_row)] for r_row, s_row in zip(r, s)]
+    )
 
 
 def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -13,6 +13,7 @@ from conftest import (
     TwistPoly,
     chord_strict_oracle,
     derived_schur_oracle,
+    hl_pencil_det_oracle,
     on_twisted_generators,
     partitions_of,
     schur_bialternant_oracle,
@@ -126,7 +127,7 @@ def test_criterion_03_hl_failure_scan():
         failures.append(f"isolated interval ({lo},{hi}) not positive")
     if not hi - lo < Fraction(1, 10**6):
         failures.append(f"interval width {hi - lo} >= 1e-6")
-    if scan.det_poly(lo) * scan.det_poly(hi) > 0:
+    if hl_pencil_det_oracle(lo) * hl_pencil_det_oracle(hi) > 0:
         failures.append("isolated interval does not bracket a sign change")
     _verdict("03 hl-failure-scan", failures)
 
@@ -392,3 +393,22 @@ def test_criterion_12_schur_classes_on_proj_1_10():
             failures.append(f"lam={lam.format()}: positivity integral {positivity} <= 0")
     assert len(lams) == 22
     _verdict("12 schur-classes-on-proj-1^10 (22 partitions of 8)", failures)
+
+
+def test_criterion_13_linear_case_sweep():
+    # The linear case of Ross-Toma: for Kaehler forms w_1..w_e and every
+    # lambda |- d - 2 with lambda_1 <= e, the Schur form s_lambda(w) is
+    # Hodge-Riemann with respect to any Kaehler reference, here w_1.
+    failures = []
+    checked = 0
+    for d in (4, 5, 6):
+        for lam in partitions_of(d - 2):
+            for e in range(lam.max_part, d + 1):
+                rng = rng_for(MASTER_SEED + 13, checked)
+                forms = [random_pd_hermitian(rng, d) for _ in range(e)]
+                rep = hodge_riemann_verdict(schur_form(lam, forms), forms[0])
+                checked += 1
+                if not rep.hr_flag:
+                    failures.append(f"d={d} lam={lam.format()} e={e}: verdict {rep.triple}")
+    assert checked == 7 + 12 + 23
+    _verdict("13 linear-case-sweep (42 Schur forms, d = 4..6)", failures)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import chord_strict_oracle, proportionality_oracle
+from conftest import chord_strict_oracle, hl_pencil_det_oracle, proportionality_oracle
 from instances import (
     invert_matrix,
     random_ample_bundle,
@@ -21,7 +21,6 @@ from schurcert.certify import (
     Nef2Coefficients,
     block_form_check,
     discrete_logconcave,
-    gram_pencil_scan,
     hi2_check,
     hl_failure_instance,
     hl_failure_scan,
@@ -356,14 +355,15 @@ class TestHI2:
 
 class TestHLFailureScan:
     def test_det_signs_and_isolation(self):
-        scan = hl_failure_scan()
+        scan = hl_failure_scan(Fraction(1, 10**6))
         assert scan.det_first == -1
         assert scan.det_second > 0
         lo, hi = scan.interval
         assert 0 < lo < hi
         assert hi - lo < Fraction(1, 10**6)
-        # the isolated bracket actually straddles a sign change
-        assert scan.det_poly(lo) * scan.det_poly(hi) <= 0
+        # the isolated bracket straddles a sign change of the pencil's
+        # determinant, evaluated pointwise by rational elimination
+        assert hl_pencil_det_oracle(lo) * hl_pencil_det_oracle(hi) <= 0
 
     def test_fixed_instance_grams(self):
         bundle, basis = hl_failure_instance()
@@ -389,10 +389,3 @@ class TestHLFailureScan:
         ]
         assert r == [[Fraction(x) for x in row] for row in want_r]
         assert s == [[Fraction(x) for x in row] for row in want_s]
-
-    def test_generic_pencil_api(self):
-        first = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-        second = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        scan = gram_pencil_scan(first, second, QPoly.of(0, 1), Fraction(1, 1000))
-        lo, hi = scan.interval
-        assert lo < 1 <= hi or abs(hi - 1) < Fraction(1, 1000)

@@ -49,6 +49,13 @@ class TestSchur:
         with pytest.raises(ValidationError):
             schur(Partition([4]), 3)
 
+    def test_more_parts_than_the_bound_refused(self):
+        # Refused before the Jacobi-Trudi determinant is expanded: the
+        # column partition with 17 parts would take about half a second.
+        with pytest.raises(ValidationError, match="supported up to 16 parts"):
+            schur(Partition([1] * 17), 17)
+        assert schur(Partition([1] * 16), 1) == c(1, 1) ** 16
+
     def test_single_part_is_chern_class(self):
         for e in range(1, 6):
             for k in range(1, e + 1):

@@ -55,6 +55,10 @@ class TestSchurCommand:
         code, out, err = run(capsys, ["schur", "4,1", "--rank", "3"])
         assert code == 2 and out == "" and "invalid" in err
 
+    def test_too_many_parts_exits_2(self, capsys):
+        code, out, err = run(capsys, ["schur", ",".join(["1"] * 17), "--rank", "17"])
+        assert code == 2 and out == "" and "supported up to 16 parts" in err
+
     def test_machine_flag(self, capsys):
         code, out, _ = run(capsys, ["--machine", "schur", "2,1", "--rank", "3"])
         assert code == 0 and out.strip() == "polynomial=c1*c2 - c3"
@@ -130,6 +134,20 @@ class TestHrCheck:
         code, out, err = run(capsys, ["hr-check", str(path)])
         assert code == 3 and out == "" and "(0,0)" in err
 
+    @pytest.mark.parametrize(
+        "combination, power",
+        [("omega1^2 + omega1^3000000", 3000000), ("omega1^5", 5)],
+        ids=["huge", "one-above"],
+    )
+    def test_power_above_the_dimension_exits_2(self, capsys, tmp_path, combination, power):
+        path = tmp_path / "power.txt"
+        path.write_text(
+            REMARK_SCENARIO.replace("omega1^2 + {a}*omega2^2", combination)
+        )
+        code, out, err = run(capsys, ["hr-check", str(path)])
+        assert code == 2 and out == ""
+        assert f"line 17, column 1: power {power} of 'omega1' vanishes beyond dimension 4" in err
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("[hermitian h]\nrows = 1\n")
@@ -165,6 +183,30 @@ class TestHrCheck:
         path.write_text(text)
         code, out, _ = run(capsys, ["--machine", "hr-check", str(path)])
         assert code == 0 and "hr=true" in out
+
+    @pytest.mark.parametrize(
+        "d, lam, e", [(4, "2", 2), (5, "2,1", 2), (6, "2,2", 3), (6, "1,1,1,1", 4)]
+    )
+    def test_linear_case_schur_forms_are_hr(self, capsys, tmp_path, d, lam, e):
+        # Ross-Toma's linear case through the scenario keys: w_k is the
+        # tridiagonal Kaehler form with k + 2 on the diagonal and i above it.
+        def rows(k):
+            off = {0: str(k + 2), 1: "0+1i", -1: "0-1i"}
+            return "".join(
+                "row = " + ", ".join(off.get(j - i, "0") for j in range(d)) + "\n"
+                for i in range(d)
+            )
+
+        names = [f"w{k}" for k in range(1, e + 1)]
+        path = tmp_path / "linear.txt"
+        path.write_text(
+            "".join(f"[hermitian w{k}]\n{rows(k)}\n" for k in range(1, e + 1))
+            + f"[task hr-check]\ndimension = {d}\nreference = w1\n"
+            + f"schur = {lam}\nforms = {', '.join(names)}\n"
+        )
+        code, out, _ = run(capsys, ["hr-check", str(path)])
+        assert code == 0
+        assert f"inertia=(1,0,{d * d - 1})" in out and "hr=true" in out
 
     def test_dimension_above_limit_exits_2(self, capsys, tmp_path):
         # A matrix above size 8 is refused at its section header.
@@ -336,6 +378,10 @@ class TestHlScan:
     def test_custom_width(self, capsys):
         code, out, _ = run(capsys, ["hl-scan", "--width", "1/100"])
         assert code == 0
+
+    def test_width_below_the_floor_exits_2(self, capsys):
+        code, out, err = run(capsys, ["hl-scan", "--width", f"1/{10**301}"])
+        assert code == 2 and out == "" and "at least 1/10^300" in err
 
 
 class TestPaperRepro:

@@ -12,7 +12,6 @@ from schurcert.certify import (
     BlockFormInstance,
     Nef2Coefficients,
     discrete_logconcave,
-    gram_pencil_scan,
     hodge_index_check,
 )
 from schurcert.errors import ValidationError
@@ -34,7 +33,6 @@ ENTRIES = {
     "kernel_basis": lambda x: kernel_basis([1, x]),
     "hodge_index_check-h": lambda x: hodge_index_check(LORENTZ, [1, x], [1, 0]),
     "hodge_index_check-v": lambda x: hodge_index_check(LORENTZ, [1, 0], [x, 0]),
-    "gram_pencil_scan": lambda x: gram_pencil_scan([[-1]], [[x]], QPoly.of(0, 1), HALF),
     "isolate_real_root": lambda x: isolate_real_root(QPoly.of(-1, 1), x),
     "degree_one": lambda x: P11.degree_one([x, 2]),
     "GradedClass": lambda x: GradedClass(P11, 1, [x, 2]),

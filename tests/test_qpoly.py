@@ -101,6 +101,16 @@ def test_isolation_width_and_membership():
         isolate_real_root(x * x + QPoly.of(1), Fraction(1, 10))
 
 
+def test_isolation_width_has_a_floor():
+    # Each halving costs a Sturm evaluation on longer rationals, so widths
+    # below 10^-300 are refused before the chain is built.
+    p = QPoly.of(-2, 0, 1)
+    lo, hi = isolate_real_root(p, Fraction(1, 10**300))
+    assert hi - lo < Fraction(1, 10**300) and lo * lo < 2 < hi * hi
+    with pytest.raises(ValidationError, match="at least 1/10\\^300"):
+        isolate_real_root(p, Fraction(1, 10**301))
+
+
 def test_nonneg_decisions():
     x = QPoly.of(0, 1)
     assert nonneg_on_reals(x * x)

@@ -173,6 +173,30 @@ def test_hr_check_schur_weight_at_most_the_dimension():
     assert "weight 2 vanishes beyond dimension 1" in str(exc.value)
 
 
+# Two forms on C^2: the dimension bounds the powers a combination may take.
+HR_PAIR = (
+    "[hermitian a]\nrow = 1, 0\nrow = 0, 1\n\n[hermitian b]\nrow = 2, 0\nrow = 0, 2\n\n"
+    "[task hr-check]\ndimension = 2\nreference = a\n"
+)
+
+
+@pytest.mark.parametrize(
+    "combination, message",
+    [
+        ("a^2 + a^3000000", "power 3000000 of 'a' vanishes beyond dimension 2"),
+        ("2*a*b^3", "power 3 of 'b' vanishes beyond dimension 2"),
+    ],
+    ids=["huge-power", "power-in-a-product"],
+)
+def test_hr_check_power_at_most_the_dimension(combination, message):
+    # A (1,1)-form to a power above d is zero; the power is refused at the
+    # combination's line before any wedge is taken.
+    with pytest.raises(ScenarioError) as exc:
+        parse(HR_PAIR + f"  combination = {combination}\n")
+    assert (exc.value.line, exc.value.column) == (12, 3)
+    assert message in str(exc.value)
+
+
 def test_abelian_model_roundtrip():
     text = "[model]\nmodel = abelian_square\n"
     sc = parse(text)
@@ -181,11 +205,7 @@ def test_abelian_model_roundtrip():
 
 
 def test_combination_with_products_and_signs():
-    text = (
-        "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 2\n\n"
-        "[task hr-check]\ndimension = 1\nreference = a\n"
-        "combination = 2*a*b - 1/3*b^2\n"
-    )
+    text = HR_PAIR + "combination = 2*a*b - 1/3*b^2\n"
     sc = parse(text)
     combo = sc.tasks["hr-check"]["combination"]
     assert combo == (
@@ -216,12 +236,7 @@ def test_combination_with_products_and_signs():
          "leading-minus-minus", "plus-minus", "leading-plus-minus", "plus-plus"],
 )
 def test_sign_after_star_belongs_to_the_coefficient(combination, coefficients):
-    text = (
-        "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 2\n\n"
-        "[task hr-check]\ndimension = 1\nreference = a\n"
-        f"combination = {combination}\n"
-    )
-    combo = parse(text).tasks["hr-check"]["combination"]
+    combo = parse(HR_PAIR + f"combination = {combination}\n").tasks["hr-check"]["combination"]
     assert tuple(coeff for coeff, _ in combo) == coefficients
 
 
