@@ -343,14 +343,19 @@ def _jacobi_trudi_cached(parts: tuple[int, ...], rank: int) -> ChernPoly:
 MAX_PARTS = 16
 
 
-def schur(lam: Partition, rank: int) -> ChernPoly:
-    """Schur class ``det(c_{lam_i + j - i})`` as a grade-|lam| polynomial."""
+def _require_schur_shape(lam: Partition, rank: int) -> None:
+    """No part of ``lam`` above ``rank`` and at most ``MAX_PARTS`` parts."""
     lam.require_rank(rank)
     if len(lam.parts) > MAX_PARTS:
         raise ValidationError(
             f"partition {lam.format()} has {len(lam.parts)} parts; "
             f"Schur classes are supported up to {MAX_PARTS} parts"
         )
+
+
+def schur(lam: Partition, rank: int) -> ChernPoly:
+    """Schur class ``det(c_{lam_i + j - i})`` as a grade-|lam| polynomial."""
+    _require_schur_shape(lam, rank)
     return _jacobi_trudi_cached(lam.parts, rank)
 
 

@@ -1,9 +1,10 @@
 """Univariate polynomials over the rationals, with exact real-root tools.
 
-Supports the certification needs of the package: Sturm chains with content
-normalization to control coefficient growth, square-free decomposition via
-exact gcds, global nonnegativity decisions, and bisection-based isolation
-of real roots to a requested rational width.
+Supports the certification needs of the package: one content-normalized
+signed remainder sequence of p and p', from which come the Sturm chain of
+the square-free part, the count of real roots of odd multiplicity behind
+global nonnegativity decisions, and bisection-based isolation of real
+roots to a requested rational width.
 """
 
 from __future__ import annotations
@@ -140,76 +141,43 @@ class QPoly:
         g = gcd(*nums)
         return QPoly([Fraction(n, g) for n in nums])
 
-    def primitive(self) -> "QPoly":
-        """Integer-primitive associate with positive leading coefficient."""
-        p = self.content_normalized()
-        if p.coeffs and p.coeffs[-1] < 0:
-            return -p
-        return p
-
     def __repr__(self):
         return f"QPoly({list(self.coeffs)!r})"
 
 
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Primitive gcd by the Euclidean algorithm, normalized each step."""
-    a, b = a.primitive() if a else a, b.primitive() if b else b
-    while b:
-        _, r = divmod(a, b)
-        a, b = b, (r.primitive() if r else r)
-    return a
+def _remainders(p: QPoly) -> list[QPoly]:
+    """Signed remainder sequence p, p', -rem(p, p'), ... of a nonzero p.
 
-
-def squarefree_part(p: QPoly) -> QPoly:
-    if p.is_zero() or p.degree() == 0:
-        return QPoly((1,))
-    g = poly_gcd(p, p.derivative())
-    q, _ = divmod(p, g)
-    return q.primitive()
-
-
-def odd_multiplicity_part(p: QPoly) -> QPoly:
-    """Product of the square-free factors appearing with odd multiplicity.
-
-    Yun decomposition; the sign of ``p`` changes exactly at the real roots
-    of this part.
+    Each member is content normalized, a positive rescaling that leaves its
+    signs alone.  The last member is gcd(p, p') up to a nonzero scalar; for
+    a constant p it is p itself.  This is the package's one polynomial
+    remainder loop.
     """
-    if p.is_zero():
-        raise ValidationError("zero polynomial has no square-free decomposition")
-    p = p.primitive()
-    factors: list[QPoly] = []  # factors[i] has multiplicity i+1
-    g = poly_gcd(p, p.derivative())
-    c, _ = divmod(p, g)
-    d = divmod(p.derivative(), g)[0] - c.derivative()
-    while c.degree() > 0:
-        a = poly_gcd(c, d)
-        factors.append(a)
-        c, _ = divmod(c, a)
-        d = divmod(d, a)[0] - c.derivative()
-    out = QPoly((1,))
-    for i, f in enumerate(factors):
-        if i % 2 == 0:  # multiplicity i+1 odd
-            out = out * f
-    return out.primitive()
+    seq = [p.content_normalized()]
+    if p.degree() > 0:
+        seq.append(p.derivative().content_normalized())
+        while r := divmod(seq[-2], seq[-1])[1]:
+            seq.append((-r).content_normalized())
+    return seq
 
 
 def sturm_chain(p: QPoly) -> list[QPoly]:
-    """Sturm chain of the square-free part.
+    """Sturm chain of the square-free part of ``p``.
 
-    Content normalization keeps coefficient growth in check; only positive
-    rescaling is applied, since sign flips would destroy the variation
-    counts the chain exists for.
+    The remainder sequence of p and p' divided, member by member, by its
+    last member g = gcd(p, p'); nothing is divided when g is constant.  At
+    a point x with g(x) != 0 every member is multiplied by the one nonzero
+    number 1/g(x), so the sign variations there are those of the undivided
+    sequence.  The division matters at the roots of g, the multiple roots
+    of p: there every undivided member vanishes, while the divided chain
+    starts with the square-free part p/g and ends with a nonzero constant,
+    so its variation counts stay exact at every point.
     """
-    p = squarefree_part(p)
-    chain = [p]
-    if p.degree() > 0:
-        chain.append(p.derivative().content_normalized())
-        while chain[-1].degree() > 0:
-            _, r = divmod(chain[-2], chain[-1])
-            if r.is_zero():
-                break
-            chain.append((-r).content_normalized())
-    return chain
+    seq = _remainders(p)
+    g = seq[-1]
+    if g.degree() <= 0:
+        return seq
+    return [divmod(q, g)[0].content_normalized() for q in seq]
 
 
 def _variations_at(chain: Sequence[QPoly], x: Fraction | None, side: int = 1) -> int:
@@ -286,9 +254,23 @@ def nonneg_on_reals(p: QPoly) -> bool:
 
     True iff the polynomial is identically zero, or has positive leading
     coefficient, even degree, and no real root of odd multiplicity.
+
+    The roots of odd multiplicity are counted without factoring.  Put
+    g_0 = p and g_{k+1} = gcd(g_k, g_k'), and let N(g) count the distinct
+    real roots of g.  A real root of p of multiplicity m is a root of g_k
+    exactly for k < m, so it adds 1 - 1 + 1 - ... (m terms) to
+    N(g_0) - N(g_1) + N(g_2) - ..., which is 1 for odd m and 0 for even m.
+    Each N(g_k) is the variation count at -infinity minus that at
+    +infinity of the remainder sequence of g_k, whose last member is
+    g_{k+1}; no infinity is a root, so the sequence needs no division.
     """
     if p.is_zero():
         return True
     if p.degree() % 2 == 1 or p.leading() < 0:
         return False
-    return count_real_roots(odd_multiplicity_part(p)) == 0
+    odd, sign = 0, 1
+    while p.degree() > 0:
+        seq = _remainders(p)
+        odd += sign * (_variations_at(seq, None, -1) - _variations_at(seq, None))
+        p, sign = seq[-1], -sign
+    return odd == 0

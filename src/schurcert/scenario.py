@@ -34,7 +34,8 @@ whose size is the task's ``dimension``; each vector (``root``, ``twist``,
 ``h``, ``alpha``) must have one entry per model generator.  No part of a
 ``ring-eval`` partition may exceed the bundle's rank, nor of an
 ``hr-check`` ``schur`` partition the number of ``forms``, and a derived
-order lies in ``0..|partition|``.  A ``logconcave`` ``mu`` weighs the
+order lies in ``0..|partition|``.  A ``ring-eval`` ``schur`` partition has
+at most ``chernpoly.MAX_PARTS`` parts.  A ``logconcave`` ``mu`` weighs the
 bundle's rank, and an ``hr-check`` ``schur`` partition at most the
 ``dimension``.  Every defect raises a
 ``ScenarioError`` carrying the line and column of the key at fault, or of
@@ -49,6 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .chernpoly import _require_schur_shape
 from .errors import ScenarioError, ValidationError
 from .forms import PQForm, hermitian_form
 from .gaussian import GaussianRational
@@ -330,9 +332,9 @@ def _assemble(raw, headers) -> Scenario:
                 raise ScenarioError(f"[{label}] needs a [bundle] section", *header)
             elif section == "task ring-eval":
                 for lam, at in zip(values.get("schur", ()), where.get("schur", ())):
-                    _fits_rank(lam, sc.bundle.rank, at)
+                    _check_at(at, _require_schur_shape, lam, sc.bundle.rank)
                 for (mu, _), at in zip(values.get("derived", ()), where.get("derived", ())):
-                    _fits_rank(mu, sc.bundle.rank, at)
+                    _check_at(at, mu.require_rank, sc.bundle.rank)
             elif section == "task logconcave":
                 mu, rank = values["mu"], sc.bundle.rank
                 if mu.weight != rank:
@@ -381,7 +383,7 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
         if "forms" not in task:
             raise ScenarioError("'schur' needs a 'forms' list", *where["schur"])
         lam = task["schur"]
-        _fits_rank(lam, len(task["forms"]), where["schur"])
+        _check_at(where["schur"], lam.require_rank, len(task["forms"]))
         if lam.weight > d:
             raise ScenarioError(
                 f"Schur form of weight {lam.weight} vanishes beyond dimension {d}",
@@ -411,9 +413,9 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
                 )
 
 
-def _fits_rank(lam: Partition, rank: int, at: tuple[int, int]) -> None:
-    """No part of ``lam`` exceeds ``rank``; else an error at ``at``."""
+def _check_at(at: tuple[int, int], check, *args) -> None:
+    """Run ``check(*args)``; a ``ValidationError`` is refused at ``at``."""
     try:
-        lam.require_rank(rank)
+        check(*args)
     except ValidationError as exc:
         raise ScenarioError(str(exc), *at)

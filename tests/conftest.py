@@ -2,7 +2,7 @@
 
 These deliberately recompute things by structurally different routes
 (characteristic polynomials, brute-force symbol sorting, alternants,
-tableau sums) so that the production code paths are checked against
+tableau sums, Yun's square-free decomposition) so that the production code paths are checked against
 something they do not share.
 """
 
@@ -677,6 +677,48 @@ def hl_pencil_det_oracle(t) -> Fraction:
     return rational_det(
         [[r_ij + u * s_ij for r_ij, s_ij in zip(r_row, s_row)] for r_row, s_row in zip(r, s)]
     )
+
+
+def primitive(p: QPoly) -> QPoly:
+    """Integer-primitive associate of ``p`` with positive leading coefficient."""
+    p = p.content_normalized()
+    return -p if p and p.leading() < 0 else p
+
+
+def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Primitive gcd by the Euclidean algorithm, normalized each step."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(divmod(a, b)[1])
+    return a
+
+
+def squarefree_part(p: QPoly) -> QPoly:
+    """Primitive p / gcd(p, p'); 1 for a constant or zero ``p``."""
+    if p.degree() <= 0:
+        return QPoly.of(1)
+    return primitive(divmod(p, poly_gcd(p, p.derivative()))[0])
+
+
+def odd_multiplicity_part(p: QPoly) -> QPoly:
+    """Product of the square-free factors of odd multiplicity, by Yun's
+    decomposition (SYMSAC 1976); ``p`` changes sign exactly at its real
+    roots.  ``qpoly.nonneg_on_reals`` counts them by alternating Sturm
+    counts instead."""
+    p = primitive(p)
+    odd = QPoly.of(1)
+    g = poly_gcd(p, p.derivative())
+    c = divmod(p, g)[0]
+    d = divmod(p.derivative(), g)[0] - c.derivative()
+    multiplicity = 1
+    while c.degree() > 0:
+        a = poly_gcd(c, d)  # the square-free factor of this multiplicity
+        if multiplicity % 2:
+            odd = odd * a
+        c = divmod(c, a)[0]
+        d = divmod(d, a)[0] - c.derivative()
+        multiplicity += 1
+    return primitive(odd)
 
 
 def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partition]:

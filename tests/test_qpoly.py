@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import odd_multiplicity_part, poly_gcd, primitive, squarefree_part
 from schurcert.errors import ValidationError
 from schurcert.qpoly import (
     QPoly,
@@ -10,9 +11,6 @@ from schurcert.qpoly import (
     count_real_roots,
     isolate_real_root,
     nonneg_on_reals,
-    odd_multiplicity_part,
-    poly_gcd,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -46,14 +44,14 @@ def test_gcd_and_squarefree():
     p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(2))
     g = poly_gcd(p, p.derivative())
     assert g == QPoly.of(-1, 1)  # x - 1
-    assert squarefree_part(p) == ((x - QPoly.of(1)) * (x + QPoly.of(2))).primitive()
+    assert squarefree_part(p) == primitive((x - QPoly.of(1)) * (x + QPoly.of(2)))
 
 
 def test_odd_multiplicity_part():
     x = QPoly.of(0, 1)
     p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(3)) ** 3 * x
     odd = odd_multiplicity_part(p)
-    assert odd == ((x + QPoly.of(3)) * x).primitive()
+    assert odd == primitive((x + QPoly.of(3)) * x)
 
 
 def test_sturm_root_counts():
@@ -126,6 +124,53 @@ def test_nonneg_decisions():
     assert nonneg_on_reals(x**4 + x * x)
     # touches zero at x=0 but never crosses
     assert nonneg_on_reals(x * x * (x * x + QPoly.of(1)))
+
+
+def _built_polynomial(rng):
+    """A nonzero multiple of distinct rational linear factors and
+    irreducible quadratics (t - a)^2 + b, b > 0, each to a power 1..4;
+    returns the polynomial and its real roots with their multiplicities."""
+    x = QPoly.of(0, 1)
+    p = QPoly.of(rng.choice((1, -1, 2, Fraction(-1, 3))))
+    roots, count = {}, rng.randint(0, 3)
+    while len(roots) < count:
+        roots[Fraction(rng.randint(-6, 6), rng.randint(1, 3))] = rng.randint(1, 4)
+    for r, m in roots.items():
+        p = p * (x - QPoly.of(r)) ** m
+    for _ in range(rng.randint(0, 1)):
+        a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        p = p * ((x - QPoly.of(a)) ** 2 + QPoly.of(b)) ** rng.randint(1, 4)
+    return p, roots
+
+
+def test_decisions_on_built_polynomials():
+    """Nonnegativity against Yun's decomposition, and root counts and
+    isolation against the roots the polynomial was built from, with
+    interval ends taken at those roots, multiple ones included."""
+    rng = random.Random(23)
+    for _ in range(80):
+        p, roots = _built_polynomial(rng)
+        by_yun = (
+            p.degree() % 2 == 0
+            and p.leading() > 0
+            and count_real_roots(odd_multiplicity_part(p)) == 0
+        )
+        assert nonneg_on_reals(p) == by_yun
+        assert by_yun == (p.leading() > 0 and all(m % 2 == 0 for m in roots.values()))
+        ends = [None, *roots, Fraction(rng.randint(-13, 13), 2)]
+        for lo in ends:
+            for hi in ends:
+                inside = sum(1 for r in roots if (lo is None or lo < r) and (hi is None or r <= hi))
+                if lo is None or hi is None or lo <= hi:
+                    assert count_real_roots(p, lo, hi) == inside, (p, lo, hi)
+        positive = [r for r in roots if r > 0]
+        width = Fraction(1, 10**rng.randint(1, 6))
+        if positive:
+            lo, hi = isolate_real_root(p, width)
+            assert lo < min(positive) <= hi and hi - lo < width
+        else:
+            with pytest.raises(ValidationError, match="no real root above 0"):
+                isolate_real_root(p, width)
 
 
 def test_cauchy_bound_contains_roots():
