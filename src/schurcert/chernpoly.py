@@ -389,15 +389,34 @@ def _derived_schur_cached(parts: tuple[int, ...], rank: int, order: int) -> Cher
     return total
 
 
-def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:
-    """Coefficient of ``c_1(L)^order`` in ``s_mu(E (x) L)``.
+def _require_derived_shape(mu: Partition, rank: int, order: int) -> None:
+    """No part of ``mu`` above ``rank``, ``order`` in ``0..|mu|``, and no
+    partition of the Lascoux sum beyond :func:`_require_schur_shape`.
 
-    Lascoux's nonnegative sum of Schur classes (module docstring); the
-    result has grade ``|mu| - order``.
+    The sum runs over the nu inside mu of weight w = |mu| - order, and the
+    longest has min(len(mu), w) parts.  So a mu within the part bound
+    passes, and one beyond it is refused unless w < len(mu), where the
+    longest nu is 1^w.
     """
     mu.require_rank(rank)
     if order < 0 or order > mu.weight:
         raise ValidationError(
             f"derived order {order} out of range 0..{mu.weight}"
         )
+    try:
+        _require_schur_shape(mu, rank)
+    except ValidationError:
+        weight = mu.weight - order
+        if weight >= len(mu.parts):
+            raise
+        _require_schur_shape(Partition((1,) * weight), rank)
+
+
+def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:
+    """Coefficient of ``c_1(L)^order`` in ``s_mu(E (x) L)``.
+
+    Lascoux's nonnegative sum of Schur classes (module docstring); the
+    result has grade ``|mu| - order``.
+    """
+    _require_derived_shape(mu, rank, order)
     return _derived_schur_cached(mu.parts, rank, order)

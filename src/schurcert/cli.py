@@ -99,12 +99,12 @@ def _cmd_ring_eval(args) -> list[str]:
 
 
 def _hr_form(sc: Scenario, task: dict) -> PQForm:
-    d = task["dimension"]
     if "combination" in task:
         omega: PQForm | None = None
         for coeff, factors in task["combination"]:
-            term = PQForm.one(d) * coeff
-            for name, power in factors:
+            (name, power), *rest = factors
+            term = sc.forms[name] ** power * coeff
+            for name, power in rest:
                 term = wedge(term, sc.forms[name] ** power)
             omega = term if omega is None else omega + term
     else:

@@ -2,7 +2,7 @@
 
 Forms are sparse maps from pairs of index subsets (stored as bitmasks) to
 Gaussian-rational coefficients, on C^d for d <= 8 (``MAX_DIM``; one
-hr-check at d=8 takes about 0.3 s):
+hr-check at d=8 takes about 0.2 s):
 
     Omega = sum c_{I,J} dz_I wedge dzbar_J,   I, J increasing.
 
@@ -23,6 +23,13 @@ Conventions, validated by tests before anything is built on them:
   making integral(omega^d) = d! for the standard Kaehler form.  Positivity
   verdicts are invariant under any positive rescaling of the integral, so
   this choice is harmless.
+
+A wedge product is pulled, not pushed: the coefficient of dz_U dzbar_V in
+a wedge b is one signed sum over the ways of splitting U and V between the
+two factors (:func:`wedge`), so no pair of terms is formed only to be
+dropped for a shared index.  When both factors are real (p,p)-forms, so is
+the product; only its keys with U <= V (as bitmasks) are summed, and the
+reality rule above gives the others.
 
 The Hodge-Riemann pairing is read off omega, not wedged; this lookup is the
 only shortcut to a top coefficient (``wedge_top_coefficient`` wedges).  For a
@@ -47,7 +54,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Sequence
 
 from .chernpoly import elementary_symmetric, evaluate, schur as schur_poly
@@ -61,11 +69,11 @@ Pair = tuple[int, int]  # Gaussian integer re + im*i
 
 # Largest accepted dimension.  Work grows about 4-5x per dimension: the
 # hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 a dense
-# positive definite form with complex entries, took 0.014 s at d=6, 0.07 s
-# at d=7 and 0.32 s at d=8 (building the form included) on one core of a
-# 2-vCPU Xeon host; the Gram is 9 ms of the d=8 time, the powers and the
-# congruence reduction the rest.  d >= 9 is refused: no test or benchmark
-# covers it yet.
+# positive definite form with complex entries, took 0.010 s at d=6, 0.041 s
+# at d=7 and 0.18 s at d=8 (building the form included; best of 3) on one
+# core of a 2-vCPU Xeon host; of the d=8 time the congruence reduction is
+# 0.13 s, the powers 0.05 s and the Gram 5 ms.  d >= 9 is refused: no test
+# or benchmark covers it yet.
 MAX_DIM = 8
 
 
@@ -195,7 +203,12 @@ class PQForm:
         return PQForm._from_numerators(self.dim, self.q, self.p, nums, self.den)
 
     def is_real(self) -> bool:
-        return self.conj() == self
+        """conj(c_{I,J}) = (-1)^(pq) c_{J,I} at every key (see the module docstring)."""
+        if self.p != self.q:
+            return False
+        sign = -1 if self.p & 1 else 1
+        mirror = {(j, i): (sign * re, -sign * im) for (i, j), (re, im) in self.coeffs.items()}
+        return mirror == self.coeffs
 
     # -- arithmetic -------------------------------------------------------
 
@@ -246,8 +259,10 @@ class PQForm:
     def __pow__(self, n: int) -> "PQForm":
         if n < 0:
             raise ValidationError("negative power of a form")
-        result = PQForm.one(self.dim)
-        for _ in range(n):
+        if n == 0:
+            return PQForm.one(self.dim)
+        result = self
+        for _ in range(n - 1):
             result = wedge(result, self)
         return result
 
@@ -266,40 +281,104 @@ class PQForm:
         return f"PQForm(dim={self.dim}, p={self.p}, q={self.q}, {len(self.coeffs)} terms)"
 
 
+@lru_cache(maxsize=None)
+def _splits(dim: int, n: int, p: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """Every n-subset U of the indices, by increasing mask, with its splits
+    (A, U - A, odd) over the p-subsets A of U; ``odd`` is the parity of the
+    shuffle that sorts A|(U - A).  At most (MAX_DIM + 1)^3 of these lists
+    exist, since :func:`wedge` asks only for n <= dim."""
+    out = []
+    for u in combinations(range(dim), n):
+        whole = sum(1 << x for x in u)
+        parts = []
+        for s in combinations(u, p):
+            part = sum(1 << x for x in s)
+            rest = whole ^ part
+            parts.append((part, rest, (_above_parity(part, dim) & rest).bit_count() & 1))
+        out.append((whole, tuple(parts)))
+    return tuple(sorted(out))
+
+
+def _rows(form: PQForm) -> dict[int, list[Pair | None]]:
+    """The coefficients as ``rows[I][J]``, each row a list indexed by the
+    J bitmask (``None`` where the form has no term)."""
+    size = 1 << form.dim
+    rows: dict[int, list[Pair | None]] = {}
+    for (i, j), c in form.coeffs.items():
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = [None] * size
+        row[j] = c
+    return rows
+
+
 def wedge(a: PQForm, b: PQForm) -> PQForm:
     """Exterior product with the Koszul sign convention.
 
-    dz_I dzbar_J wedge dz_K dzbar_L picks up (-1)^(|J||K|) for moving the
-    dz_K block through the dzbar_J block, times the two shuffle signs that
-    sort I|K and J|L; colliding indices kill the term.  A term's key (I, J)
-    is packed as I | J << dim, so one AND finds a collision and one popcount
-    the shuffle sign.
+    dz_A dzbar_B wedge dz_C dzbar_D picks up (-1)^(|B||C|) for moving the
+    dz_C block through the dzbar_B block, times the two shuffle signs that
+    sort A|C and B|D.  The product is pulled key by key: the coefficient of
+    dz_U dzbar_V is one sum over the splits U = A|C with |A| = a.p and
+    V = B|D with |B| = a.q (see :func:`_splits`), so no pair of terms is
+    tested for a collision.  Splits whose parts index no term of a or b are
+    dropped up front.
+
+    When a and b are both real (p,p)-forms, so is the product, and by the
+    reality rule in the module docstring its coefficient at (V, U) is
+    (-1)^P conj of the one at (U, V), P = a.p + b.p; only the keys with
+    U <= V are summed and the others are filled in that way.
     """
     if a.dim != b.dim:
         raise ValidationError("forms live on different dimensions")
     dim = a.dim
-    sign = -1 if (a.q * b.p) & 1 else 1
-    left = [
-        (i | j << dim, _above_parity(i, dim) | _above_parity(j, dim) << dim, sign * re, sign * im)
-        for (i, j), (re, im) in a.coeffs.items()
-    ]
-    right = [(i | j << dim, re, im) for (i, j), (re, im) in b.coeffs.items()]
-    out: dict[int, Pair] = {}
-    get = out.get
-    for packed1, above1, r1, m1 in left:
-        for packed2, r2, m2 in right:
-            if packed1 & packed2:
+    p, q = a.p + b.p, a.q + b.q
+    nums: dict[Key, Pair] = {}
+    if p > dim or q > dim:
+        return PQForm._from_numerators(dim, p, q, nums, a.den * b.den)
+    half = a.is_real() and b.is_real()
+    mirror = -1 if p & 1 else 1
+    koszul = (a.q * b.p) & 1
+    arows, brows = _rows(a), _rows(b)
+    acols = {j for _, j in a.coeffs}
+    bcols = {j for _, j in b.coeffs}
+    ulist = []
+    for u, parts in _splits(dim, p, a.p):
+        pairs = [
+            (arows[s], brows[t], odd ^ koszul)
+            for s, t, odd in parts
+            if s in arows and t in brows
+        ]
+        if pairs:
+            ulist.append((u, pairs))
+    vlist = []
+    for v, parts in _splits(dim, q, a.q):
+        pairs = [(s, t, odd) for s, t, odd in parts if s in acols and t in bcols]
+        if pairs:
+            vlist.append((v, pairs))
+    for u, upairs in ulist:
+        for v, vpairs in vlist:
+            if half and v < u:
                 continue
-            if (above1 & packed2).bit_count() & 1:
-                re, im = m1 * m2 - r1 * r2, -r1 * m2 - m1 * r2
-            else:
-                re, im = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
-            key = packed1 | packed2
-            prev = get(key)
-            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    full = (1 << dim) - 1
-    nums = {(key & full, key >> dim): c for key, c in out.items()}
-    return PQForm._from_numerators(dim, a.p + b.p, a.q + b.q, nums, a.den * b.den)
+            re = im = 0
+            for arow, brow, odd in upairs:
+                for s, t, odd2 in vpairs:
+                    x = arow[s]
+                    y = brow[t]
+                    if x is None or y is None:
+                        continue
+                    r1, m1 = x
+                    r2, m2 = y
+                    if odd ^ odd2:
+                        re -= r1 * r2 - m1 * m2
+                        im -= r1 * m2 + m1 * r2
+                    else:
+                        re += r1 * r2 - m1 * m2
+                        im += r1 * m2 + m1 * r2
+            if re or im:
+                nums[(u, v)] = (re, im)
+                if half and u != v:
+                    nums[(v, u)] = (mirror * re, -mirror * im)
+    return PQForm._from_numerators(dim, p, q, nums, a.den * b.den)
 
 
 def wedge_top_coefficient(a: PQForm, b: PQForm) -> GaussianRational:

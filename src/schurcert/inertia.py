@@ -38,8 +38,10 @@ class HodgeRiemannVerdict(NamedTuple):
         return self.triple[1] == 0
 
 
-def _to_rows(matrix: Matrix) -> list[list[Fraction | int]]:
-    """The entries as ints or Fractions; an int passes through unchanged."""
+def _integer_rows(matrix: Matrix) -> tuple[list[list[int]], int]:
+    """The integer matrix A = L*M of a symmetric M and L > 0, the lcm of
+    the denominators of M's non-int entries.  Only those entries enter the
+    lcm; when every entry is an int, L = 1 and the rows pass through."""
     rows = [[x if type(x) is int else exact_rational(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -51,7 +53,14 @@ def _to_rows(matrix: Matrix) -> list[list[Fraction | int]]:
                     f"matrix is not symmetric at ({i},{j}): "
                     f"{rows[i][j]} != {rows[j][i]}"
                 )
-    return rows
+    dens = [x.denominator for row in rows for x in row if type(x) is not int]
+    if not dens:
+        return rows, 1
+    scale = math.lcm(*dens)
+    return [
+        [x * scale if type(x) is int else x.numerator * (scale // x.denominator) for x in row]
+        for row in rows
+    ], scale
 
 
 def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
@@ -75,9 +84,7 @@ def congruence_diagonal(matrix: Matrix) -> list[Fraction]:
     unchanged.  The Schur complement of M at (r, s) is that minor over
     ``L * prev``, so the pivots are read off as exact ratios.
     """
-    rows = _to_rows(matrix)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    m, scale = _integer_rows(matrix)
     live = list(range(len(m)))
     prev = 1
     diag: list[Fraction] = []

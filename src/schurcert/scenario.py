@@ -35,7 +35,8 @@ whose size is the task's ``dimension``; each vector (``root``, ``twist``,
 ``ring-eval`` partition may exceed the bundle's rank, nor of an
 ``hr-check`` ``schur`` partition the number of ``forms``, and a derived
 order lies in ``0..|partition|``.  A ``ring-eval`` ``schur`` partition has
-at most ``chernpoly.MAX_PARTS`` parts.  A ``logconcave`` ``mu`` weighs the
+at most ``chernpoly.MAX_PARTS`` parts, and so has every partition of a
+``derived`` entry's Lascoux sum.  A ``logconcave`` ``mu`` weighs the
 bundle's rank, and an ``hr-check`` ``schur`` partition at most the
 ``dimension``.  Every defect raises a
 ``ScenarioError`` carrying the line and column of the key at fault, or of
@@ -50,7 +51,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chernpoly import _require_schur_shape
+from .chernpoly import _require_derived_shape, _require_schur_shape
 from .errors import ScenarioError, ValidationError
 from .forms import PQForm, hermitian_form
 from .gaussian import GaussianRational
@@ -333,8 +334,8 @@ def _assemble(raw, headers) -> Scenario:
             elif section == "task ring-eval":
                 for lam, at in zip(values.get("schur", ()), where.get("schur", ())):
                     _check_at(at, _require_schur_shape, lam, sc.bundle.rank)
-                for (mu, _), at in zip(values.get("derived", ()), where.get("derived", ())):
-                    _check_at(at, mu.require_rank, sc.bundle.rank)
+                for (mu, order), at in zip(values.get("derived", ()), where.get("derived", ())):
+                    _check_at(at, _require_derived_shape, mu, sc.bundle.rank, order)
             elif section == "task logconcave":
                 mu, rank = values["mu"], sc.bundle.rank
                 if mu.weight != rank:

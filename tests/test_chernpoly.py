@@ -14,6 +14,7 @@ from conftest import (
     twisted_chern,
 )
 
+from schurcert import chernpoly
 from schurcert.chernpoly import (
     ChernPoly,
     derived_schur,
@@ -167,6 +168,33 @@ class TestDerivedSchur:
                         assert derived_schur(mu, e, k) == derived_schur_oracle(mu, e, k)
                         cases += 1
         assert cases == 1102
+
+    def test_part_bound_is_that_of_the_lascoux_sum(self, monkeypatch):
+        # The up-front check refuses exactly the derived classes whose
+        # Lascoux sum reaches a Schur class of more than MAX_PARTS parts;
+        # with the bound lowered, both sides are seen to refuse.
+        run_sum = chernpoly._derived_schur_cached.__wrapped__
+        cases = refused = 0
+        for bound in (1, 2, 3):
+            monkeypatch.setattr(chernpoly, "MAX_PARTS", bound)
+            for e in range(1, 5):
+                for w in range(0, 7):
+                    for mu in partitions_of(w, e):
+                        for k in range(w + 1):
+                            try:
+                                chernpoly._require_derived_shape(mu, e, k)
+                                up_front = False
+                            except ValidationError:
+                                up_front = True
+                            try:
+                                run_sum(mu.parts, e, k)
+                                in_sum = False
+                            except ValidationError:
+                                in_sum = True
+                            assert up_front == in_sum, (bound, mu, e, k)
+                            cases += 1
+                            refused += up_front
+        assert 0 < refused < cases
 
     def test_lascoux_coefficients(self):
         # s_(2,1)(E (x) L) at order 1: 4 s_(2) + 2 s_(1,1).

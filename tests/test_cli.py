@@ -534,6 +534,9 @@ HR_TWO = "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 1\n\n"
         # when the Schur class is computed.
         ("ring-eval", RANK_2 + "[task ring-eval]\nschur = 1\n  schur = " + ",".join("1" * 17)
          + "\n", "line 10, column 3"),
+        # So is a derived class whose Lascoux sum needs a Schur class of 17 parts.
+        ("ring-eval", RANK_2 + "[task ring-eval]\nschur = 1\n  derived = 2,"
+         + ",".join("1" * 16) + " / 1\n", "line 10, column 3"),
         ("hr-check",
          HR_TWO + "[task hr-check]\ndimension = 1\nreference = a\nschur = 3\nforms = a, b\n",
          "line 10, column 1"),
@@ -546,7 +549,8 @@ HR_TWO = "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 1\n\n"
         "float-coefficient", "combination-name", "reference-name", "forms-name",
         "no-dimension", "no-h", "no-alpha", "no-mu", "h-length", "form-size",
         "unreferenced-non-hermitian", "other-task-broken", "ring-eval-partition-rank",
-        "derived-order", "ring-eval-schur-parts", "hr-check-partition-rank", "form-name-not-identifier",
+        "derived-order", "ring-eval-schur-parts", "ring-eval-derived-parts",
+        "hr-check-partition-rank", "form-name-not-identifier",
     ],
 )
 def test_broken_scenario_names_its_line(capsys, tmp_path, command, text, where):

@@ -87,6 +87,72 @@ def test_random_forms_match_oracle():
         assert same(schur_form(lam, [w1, w2]), oracle), d
 
 
+def _random_real_form(rng, dim, p, terms):
+    """A real (p,p)-form: f + conj(f) for a random (p,p)-form f."""
+    f = _random_form(rng, dim, p, p, terms)
+    return f + f.conj()
+
+
+def test_real_products_match_oracle():
+    # Real (p,p) factors take the half path: the keys (U, V) with U <= V
+    # are summed and (V, U) is filled with (-1)^P conj.  P = p1 + p2 runs
+    # over odd and even values, with (1,1)^(3,3) and (2,2)^(2,2) among them.
+    rng = random.Random(616)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (1, 4), (3, 3)]
+    for dim in range(3, MAX_DIM):
+        for p1, p2 in shapes:
+            if p1 + p2 > dim:
+                continue
+            a = _random_real_form(rng, dim, p1, rng.randint(3, 15))
+            b = _random_real_form(rng, dim, p2, rng.randint(3, 15))
+            assert a.is_real() and b.is_real() and a.coeffs and b.coeffs
+            product = wedge(a, b)
+            assert product.is_real(), (dim, p1, p2)
+            assert same(product, GaussianForm.of(a) * GaussianForm.of(b)), (dim, p1, p2)
+    # Dense real forms: the Kaehler pair of acceptance criterion 07.
+    for d in (4, 5, 6):
+        pair_rng = rng_for(MASTER_SEED + d, 0)
+        w1, w2 = random_pd_hermitian(pair_rng, d), random_pd_hermitian(pair_rng, d)
+        square = wedge(w1, w2)
+        assert square.is_real()
+        assert same(wedge(square, square), GaussianForm.of(square) * GaussianForm.of(square))
+
+
+def test_real_times_non_real_takes_the_full_path():
+    rng = random.Random(617)
+    for dim in range(3, MAX_DIM):
+        for p1, p2 in ((1, 1), (1, 2), (2, 2)):
+            if p1 + p2 > dim:
+                continue
+            real = _random_real_form(rng, dim, p1, rng.randint(3, 12))
+            other = _random_form(rng, dim, p2, p2, rng.randint(3, 12))
+            skew = _random_form(rng, dim, p2, p2 + 1 if p1 + p2 < dim else p2 - 1, 6)
+            assert real.is_real() and not other.is_real() and not skew.is_real()
+            for x, y in ((real, other), (other, real), (real, skew), (skew, real)):
+                assert same(wedge(x, y), GaussianForm.of(x) * GaussianForm.of(y)), (dim, x, y)
+
+
+def test_products_above_the_dimension_are_zero():
+    rng = random.Random(618)
+    for dim in range(2, MAX_DIM + 1):
+        a = _random_real_form(rng, dim, dim // 2 + 1, 4)
+        b = _random_form(rng, dim, dim - dim // 2, 1, 4)
+        for x, y in ((a, a), (a, b), (b, a)):
+            product = wedge(x, y)
+            assert product.is_zero() and product.den == 1
+            assert (product.p, product.q) == (x.p + y.p, x.q + y.q)
+            assert same(product, GaussianForm.of(x) * GaussianForm.of(y))
+
+
+def test_zeroth_and_first_powers():
+    rng = random.Random(619)
+    for dim in (1, 3, 6):
+        w = _random_form(rng, dim, 1, 1, 5)
+        assert w ** 0 == PQForm.one(dim)
+        assert w ** 1 == w
+        assert same(w ** 2, GaussianForm.of(w) ** 2)
+
+
 def test_cancellation_to_zero_and_denominators():
     rng = random.Random(614)
     for dim in (2, 3, 4, 5, 6):
