@@ -272,23 +272,34 @@ def det_in_ring(matrix: Sequence[Sequence], one):
     return det
 
 
-def elementary_symmetric(xs: Sequence, one, top: int | None = None) -> list:
-    """``[e_0, ..., e_top]`` of ring elements ``xs`` by ``e_j += e_(j-1) * x``.
+def elementary_symmetric(xs: Sequence, one, wanted: Iterable[int] | None = None) -> list:
+    """``[e_0, ..., e_e]`` of the e ring elements ``xs`` by ``e_j += e_(j-1) * x``.
 
-    Works in any commutative ring; ``one`` is ``e_0``.  ``top`` defaults to,
-    and is capped at, ``len(xs)``; no ``e_j`` above it is formed.  ``e_1``
-    starts at the first element, so no product with ``one`` is formed.
+    Works in any commutative ring; ``one`` is ``e_0``.  ``wanted`` (default
+    ``1..e``) names the e_n to return; every other entry is None.  The e_n
+    of all e elements reads e_j of the first k only for n - (e - k) <= j <= n,
+    so after k elements the recurrence forms e_j only when j is that close
+    below some wanted n.  ``e_1`` starts at the first element, so no product
+    with ``one`` is formed.
     """
-    top = len(xs) if top is None else min(top, len(xs))
-    es = [one]
+    e = len(xs)
+    wanted = set(range(1, e + 1) if wanted is None else wanted)
+    # gap[j]: how far the nearest wanted n >= j lies above j (over e: none).
+    gap = [e + 1] * (e + 2)
+    for j in range(e, 0, -1):
+        gap[j] = 0 if j in wanted else gap[j + 1] + 1
+    es = [one] + [None] * e
     for k, x in enumerate(xs, start=1):
-        if k <= top:
-            es.append(es[-1] * x if k > 1 else x)
-        for j in range(min(k - 1, top), 1, -1):
-            es[j] = es[j] + es[j - 1] * x
-        if k > 1 and top >= 1:
-            es[1] = es[1] + x
-    return es
+        for j in range(k, 0, -1):
+            if gap[j] > e - k:
+                continue
+            if j == k:
+                es[j] = es[j - 1] * x if j > 1 else x
+            elif j > 1:
+                es[j] = es[j] + es[j - 1] * x
+            else:
+                es[1] = es[1] + x
+    return [c if j == 0 or j in wanted else None for j, c in enumerate(es)]
 
 
 def evaluate(poly: "ChernPoly", images, one):

@@ -44,10 +44,16 @@ k != m.  Otherwise, with c the coefficient of omega there:
   k|J|m takes (k - [m<k]) + (d-1-m); call their sum e;
 
 so the top coefficient is -(-1)^e c, and the integral is that over the
-volume unit i^(d^2).  A real (1,1)-form is at most d^2 such elementary
-terms, so every Gram entry on the canonical real basis is a sum of at most
-four lookups, and integral(omega wedge ref^2) = integral(ref wedge omega
-wedge ref), (1,1)-forms being even, is one lookup per pair of terms of ref.
+volume unit i^(d^2).  The rule separates: e = f(j, l) + f(k, m) with
+f(j, l) = (j - [l<j]) + (d-1-l), and the key is ([d] - {j, l}, [d] - {k, m}),
+so a dz half and a dzbar half give it (:func:`_top_term`).  A basis form of
+the canonical real basis has one or two elementary terms, so each Gram
+entry reads at most four coefficients of omega.  Which ones, and with what
+Gaussian-integer factor, depends on d alone: the plan of the dimension
+(:func:`_gram_plan`) lists them once, and every Gram is that plan read on
+omega's numerators.  integral(omega wedge ref^2) = integral(ref wedge omega
+wedge ref), (1,1)-forms being even, is r^T G r on the same Gram for the
+reference's coordinates r.
 """
 
 from __future__ import annotations
@@ -69,11 +75,12 @@ Pair = tuple[int, int]  # Gaussian integer re + im*i
 
 # Largest accepted dimension.  Work grows about 4-5x per dimension: the
 # hr-check of omega1^(d-2) + 7/2 omega2^(d-2), omega1 = I and omega2 a dense
-# positive definite form with complex entries, took 0.010 s at d=6, 0.041 s
-# at d=7 and 0.18 s at d=8 (building the form included; best of 3) on one
+# positive definite form with complex entries, took 0.008 s at d=6, 0.036 s
+# at d=7 and 0.17 s at d=8 (building the form included; best of 3) on one
 # core of a 2-vCPU Xeon host; of the d=8 time the congruence reduction is
-# 0.13 s, the powers 0.05 s and the Gram 5 ms.  d >= 9 is refused: no test
-# or benchmark covers it yet.
+# 0.12 s, the powers 0.04 s and the Gram 2 ms, once the d=8 plan is built
+# (4 ms, the first time in a process).  d >= 9 is refused: no test or
+# benchmark covers it yet.
 MAX_DIM = 8
 
 
@@ -392,23 +399,11 @@ def _volume_unit(dim: int) -> Pair:
 
     Moving every dz_j to the front past the dzbar's before it takes
     d(d-1)/2 transpositions, so the coefficient is
-    i^d (-1)^(d(d-1)/2) = i^(d^2): 1 for even d, i for odd d.
+    i^d (-1)^(d(d-1)/2) = i^(d^2): 1 for even d, i for odd d.  So
+    (re + im*i) over the unit (vr, vi) is re*vr + im*vi, and it is real
+    exactly when im*vr == re*vi.
     """
     return (0, 1) if dim & 1 else (1, 0)
-
-
-_NON_REAL_TOP = "internal: real form integrated to a non-real value"
-
-
-def _real_over_volume(top: Pair, dim: int, fault: str) -> int:
-    """``re + im*i`` divided by the volume unit of ``dim`` (a unit, so the
-    denominator is kept); the quotient must be real, else ``fault`` is
-    raised."""
-    re, im = top
-    vr, vi = _volume_unit(dim)
-    if im * vr != re * vi:
-        raise RuntimeError(fault)
-    return re * vr + im * vi
 
 
 def integrate_top(omega: PQForm) -> Fraction:
@@ -425,8 +420,11 @@ def integrate_top(omega: PQForm) -> Fraction:
     if not omega.is_real():
         raise PreconditionError("top integral of a non-real form")
     full = (1 << omega.dim) - 1
-    top = _real_over_volume(omega.coeffs.get((full, full), (0, 0)), omega.dim, _NON_REAL_TOP)
-    return Fraction(top, omega.den)
+    re, im = omega.coeffs.get((full, full), (0, 0))
+    vr, vi = _volume_unit(omega.dim)
+    if im * vr != re * vi:
+        raise RuntimeError("internal: real form integrated to a non-real value")
+    return Fraction(re * vr + im * vi, omega.den)
 
 
 def hermitian_form(rows: Sequence[Sequence]) -> PQForm:
@@ -485,7 +483,9 @@ def kahler_check(omega: PQForm) -> bool:
 
 def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
     """Schur form of a tuple of (1,1)-forms: the Chern determinant with
-    c_k replaced by the k-th elementary symmetric wedge polynomial."""
+    c_k replaced by the k-th elementary symmetric wedge polynomial.  Only
+    the c_k that the Jacobi-Trudi polynomial reads are formed, and of the
+    recurrence only the band they need (``elementary_symmetric``)."""
     e = len(omegas)
     if not omegas:
         raise ValidationError("need at least one form")
@@ -500,8 +500,9 @@ def schur_form(lam: Partition, omegas: Sequence[PQForm]) -> PQForm:
             f"Schur form of weight {lam.weight} vanishes beyond dimension {dim}"
         )
     one = PQForm.one(dim)
-    cherns = elementary_symmetric(omegas, one, top=lam.weight)
-    return evaluate(schur_poly(lam, e), cherns, one)
+    poly = schur_poly(lam, e)
+    cherns = elementary_symmetric(omegas, one, {k for cs in poly.terms for k in cs})
+    return evaluate(poly, cherns, one)
 
 
 Term = tuple[int, int, int, int]  # (j, k, re, im): (re + im*i) dz_j dzbar_k, 0-based
@@ -519,32 +520,56 @@ def _real_basis_terms(dim: int) -> list[tuple[Term, ...]]:
     )
 
 
-def _pairing(omega: PQForm, left: Sequence[Term], right: Sequence[Term]) -> Pair:
-    """Numerators, over ``omega.den`` times the denominators of the terms,
-    of the coefficient of dz_{1..d} dzbar_{1..d} in a wedge omega wedge b,
-    a and b the sums of the ``left`` and ``right`` terms: one lookup of
-    omega per pair of terms, signed by the rule in the module docstring."""
-    d = omega.dim
-    full = (1 << d) - 1
-    get = omega.coeffs.get
-    total_re = total_im = 0
-    for j, k, r1, m1 in left:
-        for l, m, r2, m2 in right:
-            if j == l or k == m:
-                continue
-            c = get((full ^ (1 << j | 1 << l), full ^ (1 << k | 1 << m)))
-            if c is None:
-                continue
-            ar, ai = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
-            re, im = ar * c[0] - ai * c[1], ar * c[1] + ai * c[0]
-            e = (j - (l < j)) + (d - 1 - l) + (k - (m < k)) + (d - 1 - m)
-            if e & 1:
-                total_re += re
-                total_im += im
-            else:
-                total_re -= re
-                total_im -= im
-    return total_re, total_im
+def _halves(dim: int) -> list[list[tuple[int, int]]]:
+    """``halves[j][l]`` for j != l: the bitmask of [d] - {j, l} and the
+    parity of f(j, l) = (j - [l<j]) + (d-1-l), the transpositions that sort
+    j|I|l (module docstring).  The sign rule is a product of two such halves,
+    one for the dz indices and one for the dzbar indices."""
+    full = (1 << dim) - 1
+    return [
+        [(full ^ (1 << j | 1 << l), (j - (l < j) + dim - 1 - l) & 1) for l in range(dim)]
+        for j in range(dim)
+    ]
+
+
+def _top_term(halves, j: int, k: int, l: int, m: int) -> tuple[Key, int] | None:
+    """The key of omega that dz_j dzbar_k wedge omega wedge dz_l dzbar_m
+    reads and the sign -(-1)^(f(j,l) + f(k,m)) it enters the top coefficient
+    with; None when j == l or k == m, where the product is 0."""
+    if j == l or k == m:
+        return None
+    i_mask, f1 = halves[j][l]
+    j_mask, f2 = halves[k][m]
+    return (i_mask, j_mask), 1 if f1 ^ f2 else -1
+
+
+# One plan per dimension, at most MAX_DIM of them; it holds no form data.
+@lru_cache(maxsize=None)
+def _gram_plan(dim: int) -> tuple[tuple[Key, ...], tuple[tuple[int, int, tuple], ...]]:
+    """The keys of omega that the Gram reads, and for each upper entry
+    (a, b) of the Gram on the canonical real basis a tuple of
+    ``(x, re, im)``, one per term pair of basis_a wedge omega wedge basis_b
+    that survives: the pair reads key x of that list with the Gaussian
+    integer factor ``re + im*i``, the sign of :func:`_top_term` times the
+    product of the two terms' coefficients.  Two pairs of one entry read
+    the same key only when both basis forms sit on the same {j, k}; they
+    are not merged."""
+    halves = _halves(dim)
+    basis = _real_basis_terms(dim)
+    index: dict[Key, int] = {}
+    entries = []
+    for a, left in enumerate(basis):
+        for b in range(a, len(basis)):
+            items = []
+            for j, k, r1, m1 in left:
+                for l, m, r2, m2 in basis[b]:
+                    top = _top_term(halves, j, k, l, m)
+                    if top is not None:
+                        key, sign = top
+                        x = index.setdefault(key, len(index))
+                        items.append((x, sign * (r1 * r2 - m1 * m2), sign * (r1 * m2 + m1 * r2)))
+            entries.append((a, b, tuple(items)))
+    return tuple(index), tuple(entries)
 
 
 def _require_pairing(omega: PQForm) -> None:
@@ -559,17 +584,25 @@ def _require_pairing(omega: PQForm) -> None:
 
 
 def _gram_numerators(omega: PQForm) -> list[list[int]]:
-    """The Hodge-Riemann Gram of a real (d-2,d-2)-form times ``omega.den``."""
+    """The Hodge-Riemann Gram of a real (d-2,d-2)-form times ``omega.den``:
+    the plan of its dimension evaluated on omega's numerators, each entry
+    divided by the volume unit."""
     d = omega.dim
-    basis = _real_basis_terms(d)
-    n = len(basis)
+    n = d * d
+    keys, entries = _gram_plan(d)
+    vr, vi = _volume_unit(d)
+    get = omega.coeffs.get
+    vals = [get(key, (0, 0)) for key in keys]
     rows = [[0] * n for _ in range(n)]
-    for a, left in enumerate(basis):
-        for b in range(a, n):
-            val = _real_over_volume(
-                _pairing(omega, left, basis[b]), d, "internal: non-real Gram entry"
-            )
-            rows[a][b] = rows[b][a] = val
+    for a, b, items in entries:
+        re = im = 0
+        for x, fr, fi in items:
+            cr, ci = vals[x]
+            re += fr * cr - fi * ci
+            im += fr * ci + fi * cr
+        if im * vr != re * vi:
+            raise RuntimeError("internal: non-real Gram entry")
+        rows[a][b] = rows[b][a] = re * vr + im * vi
     return rows
 
 
@@ -579,8 +612,8 @@ def hr_gram(omega: PQForm) -> list[list[Fraction]]:
 
     Order of the basis: i dz_j dzbar_j; then i(dz_j dzbar_k + dz_k dzbar_j)
     for j < k; then dz_j dzbar_k - dz_k dzbar_j for j < k.  Each entry is
-    a signed sum of at most four coefficients of omega, looked up by the
-    rule in the module docstring; nothing is wedged.
+    read off the coefficients of omega by the plan of its dimension
+    (:func:`_gram_plan`, at most four keys per entry); nothing is wedged.
     """
     _require_pairing(omega)
     return [[Fraction(x, omega.den) for x in row] for row in _gram_numerators(omega)]
@@ -591,9 +624,12 @@ def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> HodgeRiemannVerdi
 
     The reference form must be Kaehler (positive definite).  The verdict
     decides HR (positive integral, inertia (1, 0, d^2 - 1)) and HL (a
-    nondegenerate pairing) from these two values.  Both are read off the
-    coefficients of omega; the Gram's inertia is taken on its integer
-    numerators, which have the same inertia since omega.den > 0.
+    nondegenerate pairing) from these two values.  Both come from one
+    Gram G on the canonical real basis, read off omega's numerators: the
+    inertia is G's, which has the inertia of the Gram since omega.den > 0,
+    and integral(omega wedge ref^2) = integral(ref wedge omega wedge ref),
+    (1,1)-forms being even, is r^T G r over omega.den * ref.den^2 for the
+    numerators r of the reference's coordinates.
     """
     d = omega.dim
     if reference.dim != d:
@@ -601,10 +637,16 @@ def hodge_riemann_verdict(omega: PQForm, reference: PQForm) -> HodgeRiemannVerdi
     if not kahler_check(reference):
         raise PreconditionError("reference form is not Kaehler (not positive definite)")
     _require_pairing(omega)
-    terms = [
-        (i.bit_length() - 1, j.bit_length() - 1, re, im)
-        for (i, j), (re, im) in reference.coeffs.items()
-    ]
-    top = _real_over_volume(_pairing(omega, terms, terms), d, _NON_REAL_TOP)
+    gram = _gram_numerators(omega)
+    # A basis form's first term has coefficient t = 1 or i at its key, where
+    # only basis forms with t = 1 and t = i are nonzero; 1 and i are
+    # orthogonal over R, so the coordinate is Re(conj(t) c) for the
+    # reference's numerator c there.
+    get = reference.coeffs.get
+    r = []
+    for (j, k, tr, ti), *_ in _real_basis_terms(d):
+        cr, ci = get((1 << j, 1 << k), (0, 0))
+        r.append(tr * cr + ti * ci)
+    top = sum(x * sum(g * y for g, y in zip(row, r)) for x, row in zip(r, gram) if x)
     positivity = Fraction(top, omega.den * reference.den**2)
-    return HodgeRiemannVerdict(inertia_triple(_gram_numerators(omega)), positivity)
+    return HodgeRiemannVerdict(inertia_triple(gram), positivity)

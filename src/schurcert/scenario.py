@@ -38,7 +38,8 @@ order lies in ``0..|partition|``.  A ``ring-eval`` ``schur`` partition has
 at most ``chernpoly.MAX_PARTS`` parts, and so has every partition of a
 ``derived`` entry's Lascoux sum.  A ``logconcave`` ``mu`` weighs the
 bundle's rank, and an ``hr-check`` ``schur`` partition at most the
-``dimension``.  Every defect raises a
+``dimension``; the terms of a ``combination`` share one degree, the sum
+of their powers.  Every defect raises a
 ``ScenarioError`` carrying the line and column of the key at fault, or of
 the section header when the whole section is (a missing required key, a
 matrix that is not Hermitian).
@@ -373,8 +374,9 @@ def _read_section(sc: Scenario, section: str, label: str, entries, header):
 
 def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
     """Exactly one of 'combination' and 'schur' (with 'forms'), no power
-    or Schur weight above the task's dimension, and every form named is
-    declared with the task's dimension."""
+    or Schur weight above the task's dimension, one degree (sum of powers)
+    for every term of a combination, and every form named is declared with
+    the task's dimension."""
     d = task["dimension"]
     if ("combination" in task) == ("schur" in task):
         raise ScenarioError(
@@ -391,6 +393,7 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
                 *where["schur"],
             )
     combination = task.get("combination", ())
+    degrees = set()
     for _, factors in combination:
         for name, power in factors:
             if power > d:  # refused before any wedge is taken
@@ -398,6 +401,12 @@ def _check_hr_forms(sc: Scenario, task: dict, where: dict, header) -> None:
                     f"power {power} of {name!r} vanishes beyond dimension {d}",
                     *where["combination"],
                 )
+        degrees.add(sum(power for _, power in factors))
+    if len(degrees) > 1:  # terms of different bidegrees cannot be added
+        low, *_, high = sorted(degrees)
+        raise ScenarioError(
+            f"combination mixes terms of degree {low} and {high}", *where["combination"]
+        )
     named = {
         "reference": (task["reference"],),
         "combination": [name for _, factors in combination for name, _ in factors],

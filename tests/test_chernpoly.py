@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -423,10 +424,15 @@ class TestRingHelpers:
             evaluate(ChernPoly.zero(3), es, 1)
 
     def test_elementary_symmetric_stops_at_top(self):
+        # Entry n is e_n for every wanted n, e_0 is one, and every other
+        # entry is None, also where the band formed a partial e_j.
         xs = [2, 3, 5, 7]
         full = elementary_symmetric(xs, 1)
-        for top in range(0, 6):
-            assert elementary_symmetric(xs, 1, top=top) == full[: top + 1]
+        assert full == [1, 17, 101, 247, 210]
+        for size in range(5):
+            for wanted in itertools.combinations(range(1, 5), size):
+                got = elementary_symmetric(xs, 1, set(wanted))
+                assert got == [c if j == 0 or j in wanted else None for j, c in enumerate(full)]
 
 
 class TestFormatting:

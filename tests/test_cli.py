@@ -108,9 +108,14 @@ class TestHrCheck:
     def test_internal_fault_propagates(self, tmp_path, monkeypatch):
         # A non-real volume unit makes every top integral non-real: an
         # arithmetic fault of the program, not malformed input (exit 2).
+        # The Gram plans of both dimensions are built before the fault, so
+        # the unit must be applied when a plan is read, not cached in it.
+        path = self.write(tmp_path, "0")
+        assert main(["hr-check", path]) == 0
+        forms.hr_gram(PQForm.one(2))
         monkeypatch.setattr(forms, "_volume_unit", lambda dim: (0, 1))
-        with pytest.raises(RuntimeError, match="internal: real form"):
-            main(["hr-check", self.write(tmp_path, "0")])
+        with pytest.raises(RuntimeError, match="internal: non-real Gram entry"):
+            main(["hr-check", path])
         with pytest.raises(RuntimeError, match="internal: non-real Gram entry"):
             forms.hr_gram(PQForm.one(2))
 
@@ -503,6 +508,19 @@ RANK_2 = "[model]\nmodel = proj(2,2)\n\n[bundle]\nroot = 1,1\nroot = 2,1\n\n"
 HR_TWO = "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 1\n\n"
 
 
+def hr_identity(d: int, combination: str) -> str:
+    """An hr-check of ``combination`` in the identity form ``a`` of size d;
+    the combination is on line d + 6."""
+    rows = "".join(
+        "row = " + ", ".join("1" if j == k else "0" for k in range(d)) + "\n"
+        for j in range(d)
+    )
+    return (
+        f"[hermitian a]\n{rows}\n[task hr-check]\ndimension = {d}\nreference = a\n"
+        f"combination = {combination}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, text, where",
     [
@@ -544,13 +562,18 @@ HR_TWO = "[hermitian a]\nrow = 1\n\n[hermitian b]\nrow = 1\n\n"
          "  [hermitian w-1]\nrow = 1\n\n"
          "[task hr-check]\ndimension = 1\nreference = w-1\ncombination = w-1^0\n",
          "line 1, column 3"),
+        # Terms of different degrees are refused at the key, before any wedge.
+        ("hr-check", hr_identity(3, "a^0 + a"), "line 9, column 1"),
+        ("hr-check", hr_identity(4, "a^2 + a"), "line 10, column 1"),
+        ("hr-check", hr_identity(4, "a*a - 2*a^2 + 3*a"), "line 10, column 1"),
     ],
     ids=[
         "float-coefficient", "combination-name", "reference-name", "forms-name",
         "no-dimension", "no-h", "no-alpha", "no-mu", "h-length", "form-size",
         "unreferenced-non-hermitian", "other-task-broken", "ring-eval-partition-rank",
         "derived-order", "ring-eval-schur-parts", "ring-eval-derived-parts",
-        "hr-check-partition-rank", "form-name-not-identifier",
+        "hr-check-partition-rank", "form-name-not-identifier", "mixed-degree-0-1",
+        "mixed-degree-2-1", "mixed-degree-after-equal-terms",
     ],
 )
 def test_broken_scenario_names_its_line(capsys, tmp_path, command, text, where):

@@ -5,7 +5,9 @@ Each behaviour of the kernel is compared once with the oracle wedge of
 wedges, sums, scalar multiples, powers and chains on seeded random forms
 with non-real coefficients, mixed denominators and cancellation to zero,
 and the Schur form of one seeded Kaehler pair per dimension 3, 4 and 5.
-Top integrals and Hodge-Riemann Grams are compared in ``test_hr_pairing``.
+The Schur forms that ``schur_form`` builds from the band of the recurrence
+that Jacobi-Trudi reads are compared with the full recurrence.  Top
+integrals and Hodge-Riemann Grams are compared in ``test_hr_pairing``.
 """
 
 import itertools
@@ -13,10 +15,11 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import GaussianForm, _volume_oracle
+from conftest import GaussianForm, _volume_oracle, partitions_of
 from instances import random_pd_hermitian, rng_for
 from test_acceptance import MASTER_SEED
 
+from schurcert import forms
 from schurcert.chernpoly import elementary_symmetric, evaluate, schur
 from schurcert.forms import MAX_DIM, PQForm, _volume_unit, schur_form, wedge
 from schurcert.gaussian import GaussianRational
@@ -85,6 +88,38 @@ def test_random_forms_match_oracle():
         lam = Partition([1] * (d - 2))
         oracle = oracle_schur_form(lam, [GaussianForm.of(w1), GaussianForm.of(w2)])
         assert same(schur_form(lam, [w1, w2]), oracle), d
+
+
+def test_schur_form_band_matches_the_full_recurrence():
+    # Every lambda with |lambda| <= d, the empty one included, and every e
+    # from lambda_1 to |lambda| + 1, on two form objects repeated the way
+    # ``cli`` passes (w0, w1, w0, w1, ...).
+    for d in range(2, 7):
+        pair_rng = rng_for(MASTER_SEED + d, 1)
+        w = [random_pd_hermitian(pair_rng, d), random_pd_hermitian(pair_rng, d)]
+        one = PQForm.one(d)
+        for weight in range(d + 1):
+            for lam in partitions_of(weight):
+                for e in range(max(lam.max_part, 1), weight + 2):
+                    omegas = [w[i % 2] for i in range(e)]
+                    full = evaluate(schur(lam, e), elementary_symmetric(omegas, one), one)
+                    assert schur_form(lam, omegas) == full, (d, lam, e)
+
+
+def test_schur_form_wedges_only_the_band(monkeypatch):
+    # s_(4) of four forms reads c_4 alone: a running product of 3 wedges,
+    # where the whole recurrence up to e_4 takes 6.
+    rng = rng_for(MASTER_SEED + 4, 2)
+    w0, w1 = random_pd_hermitian(rng, 4), random_pd_hermitian(rng, 4)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return wedge(a, b)
+
+    monkeypatch.setattr(forms, "wedge", counted)
+    assert schur_form(Partition([4]), [w0, w1, w0, w1]) == wedge(wedge(wedge(w0, w1), w0), w1)
+    assert len(calls) == 3
 
 
 def _random_real_form(rng, dim, p, terms):

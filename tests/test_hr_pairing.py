@@ -1,12 +1,15 @@
 """The Hodge-Riemann pairing by coefficient lookup against wedge routes.
 
 ``forms.hr_gram`` and ``forms.hodge_riemann_verdict`` read every Gram
-entry and the positivity integral off the coefficients of omega, by the
-sign rule in the ``forms`` module docstring.  These tests compare them with
-routes that wedge: the ``GaussianForm`` oracle of ``conftest``, whose scalar
-``GaussianField`` has the field arithmetic of Q(i), for the Gram, and
-``integrate_top`` of the full triple product for the positivity.  That top
-integral is itself checked against the oracle's ``integrate_top_oracle``.
+entry off the coefficients of omega, by a plan built once per dimension
+from the sign rule in the ``forms`` module docstring (``_top_term``), and
+the positivity integral off that Gram as r^T G r.  These tests compare
+them with routes that wedge: the ``GaussianForm`` oracle of ``conftest``,
+whose scalar ``GaussianField`` has the field arithmetic of Q(i), for the
+Gram (up to d = 8, ``MAX_DIM``, the largest plan) and for the per-term
+rule, and ``integrate_top`` of the full triple product for the
+positivity.  That top integral is itself checked against the oracle's
+``integrate_top_oracle``.
 """
 
 import itertools
@@ -23,8 +26,10 @@ from conftest import (
 from instances import random_pd_hermitian
 
 from schurcert.forms import (
+    MAX_DIM,
     PQForm,
-    _pairing,
+    _halves,
+    _top_term,
     diagonal_form,
     hodge_riemann_verdict,
     hr_gram,
@@ -53,7 +58,7 @@ def _signed_form(rng: random.Random, d: int) -> PQForm:
 def _cases():
     rng = random.Random(1905_13636)
     yield PQForm.one(2) * Fraction(-7, 3)
-    for d in (2, 3, 4, 5, 6, 7):
+    for d in (2, 3, 4, 5, 6, 7, MAX_DIM):
         for _ in range(4 if d < 6 else 2 if d == 6 else 1):
             yield _signed_form(rng, d)
 
@@ -77,8 +82,9 @@ def test_positivity_and_inertia_match_the_wedge_route():
 
 
 def test_elementary_pairing_matches_the_oracle_wedge():
-    # Non-real omega and coefficients: the sign rule must hold on both the
-    # real and the imaginary part of every lookup, for every j, k, l, m.
+    # Non-real omega and coefficients: the per-term rule the Gram plan is
+    # built from must hold on both the real and the imaginary part of every
+    # lookup, for every j, k, l, m.
     rng = random.Random(1336)
     for d in (2, 3, 4, 5):
         keys = [
@@ -95,8 +101,15 @@ def test_elementary_pairing_matches_the_oracle_wedge():
         }
         omega = PQForm(d, d - 2, d - 2, coeffs)
         oracle = GaussianForm.of(omega)
+        halves = _halves(d)
         for j, k, l, m in itertools.product(range(d), repeat=4):
-            re, im = _pairing(omega, [(j, k, 2, 1)], [(l, m, 1, -3)])
+            re = im = 0
+            top = _top_term(halves, j, k, l, m)
+            if top is not None:
+                key, sign = top
+                # (2 + i)(1 - 3i) = 5 - 5i, times omega's numerator at key.
+                cr, ci = omega.coeffs.get(key, (0, 0))
+                re, im = sign * (5 * cr + 5 * ci), sign * (5 * ci - 5 * cr)
             left = GaussianForm(d, 1, 1, {(1 << j, 1 << k): GaussianRational(2, 1)})
             right = GaussianForm(d, 1, 1, {(1 << l, 1 << m): GaussianRational(1, -3)})
             expected = _top_coefficient_oracle(left * oracle, right)
