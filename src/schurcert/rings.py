@@ -8,7 +8,9 @@ models are built from data:
 
 * ``proj(n_1, ..., n_k)`` — a product of projective spaces: the quotient of
   a polynomial ring by ``x_i^(n_i + 1)``, with the unique top monomial
-  integrating to 1;
+  integrating to 1.  There is one shared model per exponent tuple, held in
+  a bounded cache of 64 models, so the per-grade tables below are built
+  once per process;
 * ``abelian_square()`` — the abelian fourfold model: three degree-1
   generators ``th1, th2, lam`` whose only nonzero quadruple integrals are
   hard-coded below.  No attempt is made to model an actual abelian surface;
@@ -40,6 +42,7 @@ looks each sum up in the target grade's ``code -> position`` table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,6 +74,9 @@ class RingModel:
 
     Equality is structural (name, generators, caps, dimension) so that
     classes can check "same model"; the per-grade caches are not compared.
+    Each grade's ``basis``, ``index`` and ``codes`` tables are built on
+    first use and kept; ``proj`` hands out one shared model per exponent
+    tuple, so on ``proj`` models they are built once per process.
     """
 
     name: str
@@ -147,12 +153,22 @@ class RingModel:
 
 
 def proj(*exponents: int) -> RingModel:
-    """Cohomology-model ring of a product of projective spaces."""
+    """Cohomology-model ring of a product of projective spaces, the one
+    shared model of its exponent tuple."""
     exps = tuple(exponents)
     if not all(isinstance(n, int) for n in exps):
         raise ValidationError(f"factor dimensions must be integers: {exps}")
     if not exps or any(n < 1 for n in exps):
         raise ValidationError(f"factor dimensions must be positive: {exps}")
+    return _proj(*exps)
+
+
+# One entry holds a model and the tables of the grades used so far.  The
+# largest model the tests build, proj(1^10), takes about 0.26 MB with every
+# grade's tables filled, and a six-dimensional one 14 kB or less, so the
+# full cache stays within about 17 MB.
+@functools.lru_cache(maxsize=64, typed=True)
+def _proj(*exps: int) -> RingModel:
     names = tuple(f"x{i + 1}" for i in range(len(exps)))
     return RingModel("proj", names, exps, sum(exps), {exps: Fraction(1)})
 
@@ -302,9 +318,10 @@ def format_class(cls: GradedClass) -> str:
             if power
         )
 
+    coeffs = cls.nums if cls.den == 1 else cls.coeffs
     return format_terms(
         (monomial(mono), coeff)
-        for mono, coeff in zip(cls.model.basis(cls.grade), cls.coeffs)
+        for mono, coeff in zip(cls.model.basis(cls.grade), coeffs)
         if coeff != 0
     )
 

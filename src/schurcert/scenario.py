@@ -26,6 +26,12 @@ module, by one grammar (blanks around a literal are ignored)::
     rational  := [+-]? natural ('/' natural)?          vectors and coefficients
     gaussian  := rational ([+-] natural ('/' natural)? 'i')?   rows, inner blanks allowed
 
+A literal is read straight into integers: a natural is ``int`` of its
+digits, and a vector's rationals become numerators over the lcm of their
+denominators, reduced once into the degree-1 class.  A zero denominator,
+and a literal with more digits than ``sys.get_int_max_str_digits()``, are
+refused at the key.
+
 ``parse`` checks and resolves the whole file in one pass.  It builds the
 model, the bundle and every ``[hermitian]`` section, whether a task refers
 to it or not.  A section's name must be an identifier; each form name in
@@ -47,6 +53,7 @@ matrix that is not Hermitian).
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -57,7 +64,7 @@ from .errors import ScenarioError, ValidationError
 from .forms import PQForm, hermitian_form
 from .gaussian import GaussianRational
 from .partitions import Partition
-from .rings import GradedClass, RingModel, SplitBundle, abelian_square, proj
+from .rings import GradedClass, RingModel, SplitBundle, _raw, abelian_square, proj
 
 
 @dataclass
@@ -75,30 +82,43 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _GAUSSIAN = re.compile(_RATIONAL.pattern + r"(?:\s*([+-])\s*([0-9]+)(?:/([0-9]+))?\s*i)?")
 
 
-def _fraction(num: str, den: str | None = None) -> Fraction:
-    """``num/den`` from matched digits; a zero denominator or more digits
-    than ``int()`` converts raises ValidationError."""
+def _int(digits: str) -> int:
+    """Matched digits as an int; more digits than ``int()`` converts
+    raises ValidationError."""
     try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise ValidationError(f"zero denominator in {num}/{den}")
+        return int(digits)
     except ValueError:
         raise ValidationError(f"a literal has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _ratio(num: str, den: str | None) -> tuple[int, int]:
+    """``num/den`` from matched digits as an unreduced ``(p, q)`` with
+    ``q > 0``; a zero denominator raises ValidationError."""
+    p, q = _int(num), _int(den or "1")
+    if q == 0:
+        raise ValidationError(f"zero denominator in {num}/{den}")
+    return p, q
+
+
+def _rational_ratio(text: str) -> tuple[int, int]:
+    """A signed ``p/q`` or integer as ``(p, q)``; anything else, floats
+    included, is refused."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
+    return _ratio(*m.groups())
 
 
 def parse_natural(text: str, what: str) -> int:
     """``[0-9]+`` as an int; anything else raises ValidationError naming ``what``."""
     if _NATURAL.fullmatch(text.strip()) is None:
         raise ValidationError(f"bad {what} {text.strip()!r}")
-    return _fraction(text).numerator
+    return _int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """A signed ``p/q`` or integer; anything else, floats included, is refused."""
-    m = _RATIONAL.fullmatch(text.strip())
-    if m is None:
-        raise ValidationError(f"bad rational literal {text!r} (floats are rejected)")
-    return _fraction(*m.groups())
+    return Fraction(*_rational_ratio(text))
 
 
 def parse_partition(text: str) -> Partition:
@@ -115,10 +135,8 @@ def _model(value: str, model: RingModel | None) -> RingModel:
     if value == "abelian_square":
         return abelian_square()
     if value.startswith("proj(") and value.endswith(")"):
-        try:
-            exps = [parse_natural(t, "exponent") for t in value[len("proj(") : -1].split(",")]
-        except ValidationError:
-            exps = [0]
+        texts = value[len("proj(") : -1].split(",")
+        exps = [_int(t) if _NATURAL.fullmatch(t.strip()) else 0 for t in texts]
         if min(exps) < 1:
             raise ValidationError("proj(...) needs positive integer exponents")
         return proj(*exps)
@@ -126,13 +144,19 @@ def _model(value: str, model: RingModel | None) -> RingModel:
 
 
 def _vector(value: str, model: RingModel | None) -> GradedClass:
-    """A degree-1 class of the model, one coefficient per generator."""
+    """A degree-1 class of the model, one coefficient per generator: the
+    numerators over the lcm of the denominators, reduced once."""
     if not value:
         raise ValidationError("empty coefficient list")
-    coeffs = [parse_rational(t) for t in value.split(",")]
+    ratios = [_rational_ratio(t) for t in value.split(",")]
     if model is None:
         raise ValidationError("a vector needs a [model] section")
-    return model.degree_one(coeffs)
+    if len(ratios) != len(model.gen_names):
+        raise ValidationError(
+            f"expected {len(model.gen_names)} coefficients, got {len(ratios)}"
+        )
+    den = math.lcm(*(q for _, q in ratios))
+    return _raw(model, 1, [p * (den // q) for p, q in ratios], den)
 
 
 def _row(value: str, model: RingModel | None) -> tuple[GaussianRational, ...]:
@@ -142,8 +166,8 @@ def _row(value: str, model: RingModel | None) -> tuple[GaussianRational, ...]:
         if m is None:
             raise ValidationError(f"bad Gaussian-rational literal {tok.strip()!r}")
         re_num, re_den, sign, im_num, im_den = m.groups()
-        im = _fraction(sign + im_num, im_den) if sign else 0
-        out.append(GaussianRational(_fraction(re_num, re_den), im))
+        im = Fraction(*_ratio(sign + im_num, im_den)) if sign else 0
+        out.append(GaussianRational(Fraction(*_ratio(re_num, re_den)), im))
     return tuple(out)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately recompute things by structurally different routes
 (characteristic polynomials, brute-force symbol sorting, alternants,
-tableau sums, Yun's square-free decomposition) so that the production code paths are checked against
+tableau sums, Yun's square-free decomposition, the ring side of a form
+verdict) so that the production code paths are checked against
 something they do not share.
 """
 
@@ -19,10 +20,19 @@ from schurcert.chernpoly import ChernPoly, det_in_ring, evaluate, schur
 from schurcert.errors import ValidationError
 from schurcert.forms import PQForm
 from schurcert.gaussian import GaussianRational
-from schurcert.inertia import rational_det
+from schurcert.inertia import inertia_triple, rational_det
 from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
-from schurcert.rings import GradedClass, chern, gram_on_basis, multiply
+from schurcert.rings import (
+    GradedClass,
+    SplitBundle,
+    chern,
+    gram_on_basis,
+    gram_on_h11,
+    multiply,
+    proj,
+    schur_class,
+)
 
 
 class GaussianField(GaussianRational):
@@ -740,3 +750,31 @@ def partitions_of(weight: int, max_part: int | None = None) -> Iterator[Partitio
         yield Partition(())
         return
     yield from rec(weight, bound, [])
+
+
+def diagonal_hr_triple(lam: Partition, rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """The inertia of the forms Hodge-Riemann Gram of s_lam(w_1, ..., w_e),
+    w_i = i sum_j rows[i][j] dz_j dzbar_j, read off the ring side.
+
+    A term of a diagonal Omega pairs dz_j dzbar_k with dz_l dzbar_m only
+    when {j, l} = {k, m}, so the d^2 x d^2 Gram is block diagonal.  On the
+    d forms i dz_j dzbar_j it is the Gram of s_lam(E) on H^{1,1} of
+    proj(1^d), E the sum of the line bundles O(sum_j rows[i][j] x_j).  Each
+    pair j < k adds a 2 x 2 block, negative definite when
+    integral(s_lam x_j x_k) > 0, positive definite when it is negative and
+    zero when it vanishes.  That integral is the (j, k) entry of the ring
+    Gram.
+    """
+    d = len(rows[0])
+    model = proj(*[1] * d)
+    bundle = SplitBundle(model, [model.degree_one(row) for row in rows])
+    gram = gram_on_h11(schur_class(bundle, lam))
+    pos, zero, neg = inertia_triple(gram)
+    for j, k in itertools.combinations(range(d), 2):
+        if gram[j][k] > 0:
+            neg += 2
+        elif gram[j][k] < 0:
+            pos += 2
+        else:
+            zero += 2
+    return pos, zero, neg

@@ -9,7 +9,9 @@ whose scalar ``GaussianField`` has the field arithmetic of Q(i), for the
 Gram (up to d = 8, ``MAX_DIM``, the largest plan) and for the per-term
 rule, and ``integrate_top`` of the full triple product for the
 positivity.  That top integral is itself checked against the oracle's
-``integrate_top_oracle``.
+``integrate_top_oracle``.  On diagonal tuples the Gram's inertia is also
+read off the ring side (``conftest.diagonal_hr_triple``), a route that
+shares no code with the forms layer.
 """
 
 import itertools
@@ -19,8 +21,10 @@ from fractions import Fraction
 from conftest import (
     GaussianForm,
     _top_coefficient_oracle,
+    diagonal_hr_triple,
     hr_gram_oracle,
     integrate_top_oracle,
+    partitions_of,
     real_oneone_basis,
 )
 from instances import random_pd_hermitian
@@ -34,6 +38,7 @@ from schurcert.forms import (
     hodge_riemann_verdict,
     hr_gram,
     integrate_top,
+    schur_form,
     wedge,
 )
 from schurcert.gaussian import GaussianRational
@@ -115,3 +120,24 @@ def test_elementary_pairing_matches_the_oracle_wedge():
             expected = _top_coefficient_oracle(left * oracle, right)
             got = GaussianRational(Fraction(re, omega.den), Fraction(im, omega.den))
             assert got == expected, (d, j, k, l, m)
+
+
+def test_diagonal_schur_forms_match_the_ring_side():
+    # Every lam |- d - 2 on lam_1 and lam_1 + 1 diagonal forms at d = 3..6:
+    # Kaehler tuples (entries 1..3), and signed ones (entries -2..3), whose
+    # pair blocks come out negative, positive and zero.  The Gram entry of
+    # i dz_j dzbar_j and i dz_k dzbar_k has the sign of integral(s_lam x_j x_k).
+    rng = random.Random(0xD1A6)
+    signs = set()
+    for d in range(3, 7):
+        for lam in partitions_of(d - 2):
+            for e in (lam.max_part, lam.max_part + 1):
+                for low in (1, -2):
+                    rows = [[rng.randint(low, 3) for _ in range(d)] for _ in range(e)]
+                    gram = hr_gram(schur_form(lam, [diagonal_form(row) for row in rows]))
+                    assert inertia_triple(gram) == diagonal_hr_triple(lam, rows), (d, lam, rows)
+                    signs.update(
+                        (x > 0) - (x < 0)
+                        for x in (gram[j][k] for j, k in itertools.combinations(range(d), 2))
+                    )
+    assert signs == {-1, 0, 1}

@@ -3,9 +3,12 @@
 Each key that reads a number, in a scenario file or on the command line,
 is crossed with the literals the grammar refuses: a scenario refuses them
 with a ``ScenarioError`` at the key's line and column, the command line
-with exit 2.  A few accepted spellings must keep their value.
+with exit 2.  A literal with more digits than ``int()`` converts is
+refused with that limit named at its key.  A few accepted spellings must
+keep their value.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +64,28 @@ def test_scenario_refuses_literal_at_its_key(key, literal):
     with pytest.raises(ScenarioError) as exc:
         parse(text.format(x=literal))
     assert (exc.value.line, exc.value.column) == where
+
+
+# kind -> (command, scenario text with the literal at {x}, line and column
+# of its key)
+DIGIT_LIMIT = {
+    "natural": ("ring-eval", RANK_10 + "\n[task ring-eval]\n  schur = 2,{x}\n", (17, 3)),
+    "rational": ("ring-eval", "[model]\nmodel = proj(1)\n\n[bundle]\n  root = 1/{x}\n", (5, 3)),
+    "gaussian": ("hr-check", "[hermitian a]\n  row = 1 + {x} i\n", (2, 3)),
+    "proj-exponent": ("ring-eval", "\n[model]\nmodel = proj(2,{x})\n", (3, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", DIGIT_LIMIT)
+def test_scenario_literal_beyond_the_digit_limit_exits_2(capsys, tmp_path, kind):
+    command, text, (line, column) = DIGIT_LIMIT[kind]
+    path = tmp_path / "long.txt"
+    path.write_text(text.format(x=LONG))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert out == ""
+    assert f"line {line}, column {column}: a literal has more than {limit} digits" in err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ coefficients that ``rings.multiply`` replaced.  Products, sums,
 differences, negations, scalar multiples and top integrals of seeded
 classes with mixed denominators, zero and negative coefficients must be
 the ones the ``Fraction`` route gives, and every result must be in lowest
-terms over a positive denominator.
+terms over a positive denominator.  ``proj`` hands out one shared model
+per exponent tuple; a model fetched again, its tables already filled, must
+give the same results, and the checks on the exponents must still run.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from conftest import integrate_oracle, multiply_oracle
 from instances import random_fraction, rng_for
 
+from schurcert.errors import ValidationError
 from schurcert.rings import (
     GradedClass,
     RingModel,
@@ -57,8 +60,8 @@ def random_class(rng, model, grade: int) -> GradedClass:
     )
 
 
-@pytest.mark.parametrize("model", MODELS, ids=repr)
-def test_kernel_matches_the_fraction_oracle(model):
+def check_against_the_oracle(model):
+    """Seeded products, sums, scalar multiples and integrals on the model."""
     d = model.dimension
     for i in range(40):
         rng = rng_for(SEED, i)
@@ -79,6 +82,22 @@ def test_kernel_matches_the_fraction_oracle(model):
         assert multiply(a, b) == multiply_oracle(a, b), i
         top = multiply(a, random_class(rng, model, d - ga))
         assert integrate(top) == integrate_oracle(top), i
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_kernel_matches_the_fraction_oracle(model):
+    check_against_the_oracle(model)
+
+
+def test_a_model_fetched_twice_is_shared_and_still_checked():
+    first = proj(2, 3)
+    check_against_the_oracle(first)
+    for bad in [(2.0, 3), (0, 3), (2, -1), ()]:
+        with pytest.raises(ValidationError):
+            proj(*bad)
+    again = proj(2, 3)
+    assert again is first
+    check_against_the_oracle(again)
 
 
 def test_cancellation_and_zero_products():
