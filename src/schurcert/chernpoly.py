@@ -2,7 +2,11 @@
 
 A :class:`ChernPoly` is a homogeneous polynomial with exact rational
 coefficients in generators ``c_1, ..., c_e`` (``c_0 = 1``; ``c_k = 0``
-outside ``0 <= k <= e``), where ``c_k`` carries grade ``k``.
+outside ``0 <= k <= e``), where ``c_k`` carries grade ``k``.  Its terms
+come only from its constructors and arithmetic, which keep them sorted, in
+``1..e`` and of one grade, so no result is re-checked.  Jacobi-Trudi and
+Lascoux polynomials have ``int`` coefficients: a ``Fraction`` enters only
+through ``const`` or a scalar ``*``, which refuse all but int and Fraction.
 
 With ``c_k = e_k(x)`` in the Chern roots ``x``, ``s_lam = det(c_{lam_i+j-i})``
 is the Schur function ``S_lam'(x)`` of the conjugate (dual Jacobi-Trudi).
@@ -37,34 +41,17 @@ Monomial = tuple[int, ...]
 
 
 class ChernPoly:
-    """Homogeneous polynomial in Chern generators."""
+    """Homogeneous polynomial in Chern generators, built only by ``zero``,
+    ``one``, ``const``, ``generator`` and ``+``, ``-``, ``*``; ``+`` refuses
+    operands of different ranks or grades."""
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, rank: int, terms: Mapping[Monomial, int | Fraction]):
         if rank < 1:
             raise ValidationError(f"rank must be positive, got {rank}")
-        clean: dict[Monomial, Fraction] = {}
-        grade = None
-        for cs, coeff in terms.items():
-            coeff = exact_rational(coeff)
-            if coeff == 0:
-                continue
-            if any(k < 1 or k > rank for k in cs):
-                raise ValidationError(f"generator index out of range 1..{rank}: {cs}")
-            if tuple(sorted(cs)) != cs:
-                raise ValidationError(f"generator indices must be sorted: {cs}")
-            g = sum(cs)
-            if grade is None:
-                grade = g
-            elif g != grade:
-                raise ValidationError(
-                    f"inhomogeneous terms (grades {grade} and {g}); "
-                    "track formal sums per grade instead"
-                )
-            clean[cs] = coeff
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {cs: q for cs, q in terms.items() if q})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChernPoly is immutable")
@@ -76,12 +63,13 @@ class ChernPoly:
         return cls(rank, {})
 
     @classmethod
-    def const(cls, rank: int, value) -> "ChernPoly":
+    def const(cls, rank: int, value: int | Fraction) -> "ChernPoly":
+        exact_rational(value)
         return cls(rank, {(): value})
 
     @classmethod
     def one(cls, rank: int) -> "ChernPoly":
-        return cls.const(rank, 1)
+        return cls(rank, {(): 1})
 
     @classmethod
     def generator(cls, rank: int, k: int) -> "ChernPoly":
@@ -90,7 +78,7 @@ class ChernPoly:
             return cls.one(rank)
         if k < 0 or k > rank:
             return cls.zero(rank)
-        return cls(rank, {(k,): Fraction(1)})
+        return cls(rank, {(k,): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -123,7 +111,7 @@ class ChernPoly:
             )
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
+            merged[key] = merged.get(key, 0) + coeff
         return ChernPoly(self.rank, merged)
 
     def __neg__(self) -> "ChernPoly":
@@ -134,27 +122,18 @@ class ChernPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = exact_rational(other)
-            return ChernPoly(self.rank, {k: c * q for k, c in self.terms.items()})
+            return ChernPoly(self.rank, {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, ChernPoly):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for cs1, q1 in self.terms.items():
             for cs2, q2 in other.terms.items():
                 key = tuple(sorted(cs1 + cs2))
-                out[key] = out.get(key, Fraction(0)) + q1 * q2
+                out[key] = out.get(key, 0) + q1 * q2
         return ChernPoly(self.rank, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ChernPoly":
-        if n < 0:
-            raise ValidationError("negative polynomial power")
-        result = ChernPoly.one(self.rank)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         return (
@@ -396,7 +375,7 @@ def _derived_schur_cached(parts: tuple[int, ...], rank: int, order: int) -> Cher
         cols = shifted_conjugate(nu)
         coeff = det_in_ring([[math.comb(r, c) for c in cols] for r in rows], 1)
         if coeff:
-            total = total + schur(Partition(nu), rank) * coeff
+            total = total + _jacobi_trudi_cached(nu, rank) * coeff
     return total
 
 
@@ -404,23 +383,18 @@ def _require_derived_shape(mu: Partition, rank: int, order: int) -> None:
     """No part of ``mu`` above ``rank``, ``order`` in ``0..|mu|``, and no
     partition of the Lascoux sum beyond :func:`_require_schur_shape`.
 
-    The sum runs over the nu inside mu of weight w = |mu| - order, and the
-    longest has min(len(mu), w) parts.  So a mu within the part bound
-    passes, and one beyond it is refused unless w < len(mu), where the
-    longest nu is 1^w.
+    The sum runs over the nu inside mu of weight w = |mu| - order.  The
+    longest has min(len(mu), w) parts: mu itself when w >= len(mu), and 1^w
+    otherwise.  Every nu lies inside mu, so no part of it exceeds the rank.
     """
     mu.require_rank(rank)
     if order < 0 or order > mu.weight:
         raise ValidationError(
             f"derived order {order} out of range 0..{mu.weight}"
         )
-    try:
-        _require_schur_shape(mu, rank)
-    except ValidationError:
-        weight = mu.weight - order
-        if weight >= len(mu.parts):
-            raise
-        _require_schur_shape(Partition((1,) * weight), rank)
+    weight = mu.weight - order
+    if min(len(mu.parts), weight) > MAX_PARTS:
+        _require_schur_shape(mu if weight >= len(mu.parts) else Partition((1,) * weight), rank)
 
 
 def derived_schur(mu: Partition, rank: int, order: int) -> ChernPoly:

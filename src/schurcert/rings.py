@@ -8,9 +8,10 @@ models are built from data:
 
 * ``proj(n_1, ..., n_k)`` — a product of projective spaces: the quotient of
   a polynomial ring by ``x_i^(n_i + 1)``, with the unique top monomial
-  integrating to 1.  There is one shared model per exponent tuple, held in
-  a bounded cache of 64 models, so the per-grade tables below are built
-  once per process;
+  integrating to 1.  It has at most ``MAX_MONOMIALS`` monomials within its
+  caps.  There is one shared model per exponent tuple, held in a bounded
+  cache of 64 models, so the per-grade tables below are built once per
+  process;
 * ``abelian_square()`` — the abelian fourfold model: three degree-1
   generators ``th1, th2, lam`` whose only nonzero quadruple integrals are
   hard-coded below.  No attempt is made to model an actual abelian surface;
@@ -152,6 +153,12 @@ class RingModel:
         return self.degree_one(coeffs)
 
 
+# The prod(n_i + 1) monomials within the caps bound every grade table and
+# product.  With rank = dimension, hi2 on proj(1023) takes 4.1 s and mu = 1^15
+# logconcave on proj(3^5) 1.0 s; at 2048, proj(2047) 14 s and proj(3^5, 1) 4.1 s.
+MAX_MONOMIALS = 1024
+
+
 def proj(*exponents: int) -> RingModel:
     """Cohomology-model ring of a product of projective spaces, the one
     shared model of its exponent tuple."""
@@ -160,13 +167,15 @@ def proj(*exponents: int) -> RingModel:
         raise ValidationError(f"factor dimensions must be integers: {exps}")
     if not exps or any(n < 1 for n in exps):
         raise ValidationError(f"factor dimensions must be positive: {exps}")
+    if math.prod(n + 1 for n in exps) > MAX_MONOMIALS:
+        raise ValidationError(f"proj(...) has more than {MAX_MONOMIALS} monomials, prod(n_i + 1)")
     return _proj(*exps)
 
 
-# One entry holds a model and the tables of the grades used so far.  The
-# largest model the tests build, proj(1^10), takes about 0.26 MB with every
-# grade's tables filled, and a six-dimensional one 14 kB or less, so the
-# full cache stays within about 17 MB.
+# One entry holds a model and the tables of the grades used so far.  With
+# every grade's tables filled, proj(1023) takes about 0.83 MB and proj(1^10)
+# 0.26 MB, both at the monomial bound, so the full cache stays within about
+# 53 MB; a six-dimensional model takes 14 kB or less.
 @functools.lru_cache(maxsize=64, typed=True)
 def _proj(*exps: int) -> RingModel:
     names = tuple(f"x{i + 1}" for i in range(len(exps)))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,25 @@ class TestLogconcaveAndHi2:
         code, out, err = run(capsys, [command, str(path)])
         assert code == 3 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["hi2", "logconcave"])
+    def test_model_over_the_monomial_bound_exits_2_at_its_key(self, capsys, tmp_path, command):
+        # proj(1^11) has 2048 monomials, one factor over rings.MAX_MONOMIALS;
+        # its verdicts would take seconds, its refusal takes none.
+        ones = ",".join("1" * 11)
+        path = tmp_path / "large.txt"
+        path.write_text(
+            f"[model]\n  model = proj({ones})\n\n[bundle]\n"
+            + f"root = {ones}\n" * 11
+            + f"\n[task hi2]\nh = {ones}\nalpha = 1,-1{',0' * 9}\n"
+            + f"\n[task logconcave]\nmu = 11\nh = {ones}\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2, column 3: ")
+        assert f"more than {rings.MAX_MONOMIALS} monomials" in err
 
 
 class TestHlScan:

@@ -14,6 +14,7 @@ from schurcert.certify import (
     discrete_logconcave,
     hodge_index_check,
 )
+from schurcert.chernpoly import ChernPoly
 from schurcert.errors import ValidationError
 from schurcert.forms import diagonal_form, hermitian_form
 from schurcert.gaussian import GaussianRational
@@ -45,6 +46,7 @@ ENTRIES = {
     "Nef2Coefficients.of": lambda x: Nef2Coefficients.of(0, x, 0, 0, 0, 3),
     "discrete_logconcave": lambda x: discrete_logconcave([x, 1, HALF]),
     "Partition": lambda x: Partition([x, 0]),
+    "ChernPoly.const": lambda x: ChernPoly.const(3, x),
     "proj": lambda x: proj(x, 1),
 }
 

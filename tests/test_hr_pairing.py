@@ -11,7 +11,8 @@ rule, and ``integrate_top`` of the full triple product for the
 positivity.  That top integral is itself checked against the oracle's
 ``integrate_top_oracle``.  On diagonal tuples the Gram's inertia is also
 read off the ring side (``conftest.diagonal_hr_triple``), a route that
-shares no code with the forms layer.
+shares no code with the forms layer, up to d = 8; so is the exact
+Hodge-Riemann region of the ``paper-repro`` signature family.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from conftest import (
 )
 from instances import random_pd_hermitian
 
+from schurcert.chernpoly import det_in_ring
 from schurcert.forms import (
     MAX_DIM,
     PQForm,
@@ -43,6 +45,8 @@ from schurcert.forms import (
 )
 from schurcert.gaussian import GaussianRational
 from schurcert.inertia import inertia_triple
+from schurcert.qpoly import QPoly, count_real_roots
+from schurcert.rings import gram_on_h11, proj
 
 
 def _signed_form(rng: random.Random, d: int) -> PQForm:
@@ -141,3 +145,54 @@ def test_diagonal_schur_forms_match_the_ring_side():
                         for x in (gram[j][k] for j, k in itertools.combinations(range(d), 2))
                     )
     assert signs == {-1, 0, 1}
+
+
+def test_diagonal_schur_forms_match_the_ring_side_up_to_max_dim():
+    # d = 7 and 8 (MAX_DIM) through hodge_riemann_verdict: one Kaehler and
+    # one signed tuple of lam_1 diagonal forms per lam |- d - 2.
+    rng = random.Random(0xD1A78)
+    for d in range(7, MAX_DIM + 1):
+        reference = diagonal_form([1] * d)
+        for lam in partitions_of(d - 2):
+            for low in (1, -2):
+                rows = [[rng.randint(low, 3) for _ in range(d)] for _ in range(lam.max_part)]
+                omega = schur_form(lam, [diagonal_form(row) for row in rows])
+                got = hodge_riemann_verdict(omega, reference).triple
+                assert got == diagonal_hr_triple(lam, rows), (d, lam, rows)
+
+
+def test_signature_family_region_is_read_off_the_ring_side():
+    # repro._signature_family: omega_1^2 + a omega_2^2 on C^4, with omega_1
+    # the sum and omega_2 = (x1 + x2)/7 + 2(x3 + x4) diagonal.  On
+    # proj(1,1,1,1) its 4 x 4 ring Gram G(a) has the determinant below, and
+    # every off-diagonal entry, the integral of the class against x_j x_k,
+    # is 2 + c a with c > 0, so each of the six pair blocks of the 16 x 16
+    # forms Gram is negative definite for a >= 0.  HR holds exactly on
+    # [0, 3) and (49/12, oo).
+    model = proj(1, 1, 1, 1)
+    w1 = model.degree_one([1, 1, 1, 1])
+    w2 = model.degree_one([Fraction(1, 7), Fraction(1, 7), 2, 2])
+    g1, g2 = gram_on_h11(w1 * w1), gram_on_h11(w2 * w2)
+    pencil = [[QPoly.of(g1[j][k], g2[j][k]) for k in range(4)] for j in range(4)]
+    det = det_in_ring(pencil, QPoly.of(1))
+    want = QPoly.of(-3, 1) * QPoly.of(-49, 12) * QPoly.of(49, 197, 4) * Fraction(-16, 2401)
+    assert det == want
+    assert count_real_roots(det, Fraction(0)) == 2
+    assert count_real_roots(det, Fraction(0), Fraction(3)) == 1
+    assert det(Fraction(3)) == det(Fraction(49, 12)) == 0
+    for j, k in itertools.combinations(range(4), 2):
+        assert g1[j][k] == 2 and g2[j][k] > 0
+    forms1 = diagonal_form([1, 1, 1, 1])
+    forms2 = diagonal_form([Fraction(1, 7), Fraction(1, 7), 2, 2])
+    sq1, sq2 = wedge(forms1, forms1), wedge(forms2, forms2)
+    for a, ring in [
+        (Fraction(1), (1, 0, 3)),
+        (Fraction(7, 2), (2, 0, 2)),
+        (Fraction(5), (1, 0, 3)),
+        (Fraction(3), (1, 1, 2)),
+        (Fraction(49, 12), (1, 1, 2)),
+    ]:
+        gram = [[g1[j][k] + a * g2[j][k] for k in range(4)] for j in range(4)]
+        assert inertia_triple(gram) == ring, a
+        got = hodge_riemann_verdict(sq1 + sq2 * a, forms1).triple
+        assert got == (ring[0], ring[1], ring[2] + 12), a

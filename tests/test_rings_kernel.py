@@ -19,6 +19,7 @@ from instances import random_fraction, rng_for
 
 from schurcert.errors import ValidationError
 from schurcert.rings import (
+    MAX_MONOMIALS,
     GradedClass,
     RingModel,
     abelian_square,
@@ -98,6 +99,16 @@ def test_a_model_fetched_twice_is_shared_and_still_checked():
     again = proj(2, 3)
     assert again is first
     check_against_the_oracle(again)
+
+
+def test_models_beyond_the_monomial_bound_are_refused():
+    # prod(n_i + 1) is the number of monomials within the caps.
+    for exps in [(1,) * 10, (1023,), (31, 31), (3, 3, 3, 3, 3)]:
+        assert math.prod(n + 1 for n in exps) == MAX_MONOMIALS
+        assert proj(*exps).caps == exps
+    for exps in [(1,) * 11, (1024,), (31, 32), (2,) * 7]:
+        with pytest.raises(ValidationError, match=f"more than {MAX_MONOMIALS} monomials"):
+            proj(*exps)
 
 
 def test_cancellation_and_zero_products():
