@@ -121,7 +121,7 @@ class BlockFormInstance:
         return out
 
     def phi_of(self, v: Sequence[Fraction]) -> Fraction:
-        return sum(a * exact_rational(b) for a, b in zip(self.phi, v))
+        return sum(a * b for a, b in zip(self.phi, v))
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,7 @@ def block_form_check(inst: BlockFormInstance, v: Sequence[Fraction]) -> BlockFor
     1984), and phi = 0 would give it a zero row.  So Q_V is negative
     definite on ker(phi), with inertia (0, 0, rho - 1).
     """
+    v = [exact_rational(x) for x in v]
     rho = inst.rho
     triple = inertia_triple(inst.q_w())
     if triple != (1, 0, rho):

@@ -7,6 +7,12 @@ message names what failed, such as the inertia triple found; no subclass
 carries it as a field.  Any other exception but a result too long to
 print (see ``cli``), such as a ``ZeroDivisionError``, is an internal
 fault: the CLI lets it propagate instead of giving it an exit code.
+
+A caller's number is checked once, where it enters: by ``exact_rational``
+at each entry point that takes one (``tests/test_exact_inputs.py`` lists
+them), or by the scenario grammar.  Kernels (``QPoly``, ring classes,
+Chern polynomials, the quadratic-form helpers) store the ints and
+``Fraction``s their own arithmetic builds and do not check them again.
 """
 
 from __future__ import annotations
@@ -37,7 +43,10 @@ class PreconditionError(SchurCertError):
 
 def exact_rational(x) -> Fraction:
     """``x`` as a Fraction if it is an int or a Fraction; anything else,
-    floats and strings included, raises ValidationError."""
+    floats and strings included, raises ValidationError.
+
+    The one check of a caller's number, made at the entry that receives it;
+    values a kernel builds from checked ones do not come here again."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

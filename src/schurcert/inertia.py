@@ -126,39 +126,30 @@ def inertia_triple(matrix: Matrix) -> tuple[int, int, int]:
 
 
 def quadratic_value(matrix: Matrix, v: Sequence[Fraction], w=None) -> Fraction:
-    """Q(v, w) for the symmetric matrix Q; ``Q(v, v)`` when w is omitted."""
-    if w is None:
-        w = v
+    """Q(v, w) for the symmetric matrix Q; ``Q(v, v)`` when w is omitted.  A
+    non-square Q is refused; each entry of v and w is checked once, and of Q
+    once in each row that a nonzero v_i reads."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValidationError("matrix is not square")
+    v = [exact_rational(x) for x in v]
+    w = v if w is None else [exact_rational(x) for x in w]
     if len(v) != n or len(w) != n:
         raise ValidationError("vector length does not match the matrix")
     total = Fraction(0)
-    for i in range(n):
-        vi = exact_rational(v[i])
-        if vi == 0:
-            continue
-        row = matrix[i]
-        total += vi * sum(exact_rational(row[j]) * exact_rational(w[j]) for j in range(n))
+    for vi, row in zip(v, matrix):
+        if vi:
+            total += vi * sum(exact_rational(q) * x for q, x in zip(row, w))
     return total
 
 
 def congruent(matrix: Matrix, p: Matrix) -> list[list[Fraction]]:
-    """P^T M P, exactly."""
-    n = len(matrix)
-    if len(p) != n or any(len(row) != len(p[0]) for row in p):
+    """P^T M P, exactly: entry (r, c) is M(p_r, p_c) for the columns p_r of P,
+    each a :func:`quadratic_value`."""
+    if len(p) != len(matrix) or any(len(row) != len(p[0]) for row in p):
         raise ValidationError("incompatible congruence matrix")
-    k = len(p[0])
-    mp = [
-        [
-            sum(exact_rational(matrix[i][j]) * exact_rational(p[j][c]) for j in range(n))
-            for c in range(k)
-        ]
-        for i in range(n)
-    ]
-    return [
-        [sum(exact_rational(p[j][r]) * mp[j][c] for j in range(n)) for c in range(k)]
-        for r in range(k)
-    ]
+    cols = list(zip(*p))
+    return [[quadratic_value(matrix, a, b) for b in cols] for a in cols]
 
 
 def kernel_basis(phi: Sequence[Fraction]) -> list[list[Fraction]]:

@@ -5,6 +5,10 @@ signed remainder sequence of p and p', from which come the Sturm chain of
 the square-free part, the count of real roots of odd multiplicity behind
 global nonnegativity decisions, and bisection-based isolation of real
 roots to a requested rational width.
+
+Coefficients are stored as made, ints or ``Fraction``s; every remainder and
+Sturm-chain member has coprime int coefficients, and since int / int is a
+float, each division (``divmod``, ``cauchy_root_bound``) has a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from .errors import ValidationError, exact_rational
 
 
 class QPoly:
-    """Immutable dense polynomial; coefficients ascending, none trailing."""
+    """Immutable dense polynomial; coefficients ascending, as made, none trailing."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction] = ()):
-        cs = [exact_rational(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -75,13 +79,12 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = exact_rational(other)
-            return QPoly([c * q for c in self.coeffs])
+            return QPoly([c * other for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -110,8 +113,8 @@ class QPoly:
         if self.degree() < db:
             return QPoly(), self
         rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * (self.degree() - db + 1)
+        lead = Fraction(other.coeffs[-1])
+        quo = [0] * (self.degree() - db + 1)
         for k in range(self.degree() - db, -1, -1):
             c = rem[k + db] / lead
             quo[k] = c
@@ -121,8 +124,7 @@ class QPoly:
         return QPoly(quo), QPoly(rem[:db])
 
     def __call__(self, x) -> Fraction:
-        x = exact_rational(x)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -131,15 +133,15 @@ class QPoly:
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content_normalized(self) -> "QPoly":
-        """Scaled by the positive rational making the coefficients integer
-        and coprime; the sign structure is untouched (safe inside Sturm
-        chains, where only positive rescaling is allowed)."""
+        """Scaled by the positive rational making the coefficients coprime
+        ints; the sign structure is untouched (safe inside Sturm chains,
+        where only positive rescaling is allowed)."""
         if not self.coeffs:
             return self
         den = lcm(*(c.denominator for c in self.coeffs))
-        nums = [int(c * den) for c in self.coeffs]
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = gcd(*nums)
-        return QPoly([Fraction(n, g) for n in nums])
+        return QPoly([n // g for n in nums])
 
     def __repr__(self):
         return f"QPoly({list(self.coeffs)!r})"
@@ -209,8 +211,7 @@ def cauchy_root_bound(p: QPoly) -> Fraction:
     """All real roots lie in [-B, B] for the returned B."""
     if p.is_zero() or p.degree() == 0:
         return Fraction(1)
-    lead = abs(p.leading())
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / Fraction(abs(p.leading()))
 
 
 # Bisection takes about log2(1/width) Sturm evaluations on ever longer

@@ -148,9 +148,9 @@ class RingModel:
         return GradedClass(self, 1, coeffs)
 
     def generator(self, index: int) -> "GradedClass":
-        coeffs = [0] * len(self.gen_names)
-        coeffs[index] = 1
-        return self.degree_one(coeffs)
+        nums = [0] * len(self.gen_names)
+        nums[index] = 1
+        return _raw(self, 1, nums, 1)
 
 
 # The prod(n_i + 1) monomials within the caps bound every grade table and
@@ -221,11 +221,11 @@ class GradedClass:
         cls, model: RingModel, grade: int, entries: dict[Monomial, Fraction]
     ) -> "GradedClass":
         index = model.index(grade)
-        coeffs = [Fraction(0)] * len(index)
+        coeffs = [0] * len(index)
         for mono, c in entries.items():
             if mono not in index:
                 raise ValidationError(f"monomial {mono} not in the grade-{grade} basis")
-            coeffs[index[mono]] += exact_rational(c)
+            coeffs[index[mono]] = c
         return cls(model, grade, coeffs)
 
     @property
@@ -268,11 +268,9 @@ class GradedClass:
     def __mul__(self, other):
         if isinstance(other, GradedClass):
             return multiply(self, other)
-        q = exact_rational(other)
-        p = q.numerator
-        return _raw(
-            self.model, self.grade, [n * p for n in self.nums], self.den * q.denominator
-        )
+        q = other if isinstance(other, int) else exact_rational(other)
+        p, d = q.numerator, q.denominator
+        return _raw(self.model, self.grade, [n * p for n in self.nums], self.den * d)
 
     __rmul__ = __mul__
 

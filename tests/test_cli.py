@@ -6,6 +6,8 @@ import pytest
 import schurcert.cli as cli
 import schurcert.forms as forms
 import schurcert.rings as rings
+import schurcert.scenario as scenario
+from schurcert.chernpoly import MAX_FIRST_PART
 from schurcert.cli import main
 from schurcert.errors import ScenarioError
 from schurcert.forms import PQForm
@@ -392,6 +394,67 @@ class TestLogconcaveAndHi2:
         assert code == 2 and out == ""
         assert err.startswith("error: line 2, column 3: ")
         assert f"more than {rings.MAX_MONOMIALS} monomials" in err
+
+
+class TestRunawayInputs:
+    """The first part of a derived partition and a bundle's rank are bounded
+    at their keys; past either bound the verdict would take seconds, and the
+    refusal exits 2 at once."""
+
+    WIDE = MAX_FIRST_PART + 1
+
+    def timed(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        return err
+
+    def test_derived_schur_first_part_exits_2(self, capsys):
+        w = self.WIDE
+        err = self.timed(capsys, ["schur", str(w), "--rank", str(w), "--derived", str(w // 2)])
+        assert err == (
+            f"error: partition {w} has first part {w}; "
+            f"derived Schur classes are supported up to first part {MAX_FIRST_PART}\n"
+        )
+        code, _, _ = run(capsys, ["schur", str(w - 1), "--rank", str(w), "--derived", "6"])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "command, task, where",
+        [
+            ("logconcave", "[task logconcave]\n  mu = {w}\nh = 1\n", "column 3"),
+            ("ring-eval", "[task ring-eval]\nderived = {w},1 / 7\n", "column 1"),
+        ],
+        ids=["logconcave-mu", "ring-eval-derived"],
+    )
+    def test_first_part_exits_2_at_its_key(self, capsys, tmp_path, command, task, where):
+        w = self.WIDE
+        rank = w + (command == "ring-eval")
+        path = tmp_path / "wide.txt"
+        path.write_text(
+            f"[model]\nmodel = proj({w})\n[bundle]\n" + "root = 1\n" * rank
+            + task.format(w=w)
+        )
+        err = self.timed(capsys, [command, str(path)])
+        assert err.startswith(f"error: line {rank + 5}, {where}: partition {w}")
+        assert f"first part {MAX_FIRST_PART}" in err
+
+    @pytest.mark.parametrize("command", ["hi2", "logconcave", "ring-eval"])
+    def test_rank_exits_2_at_the_first_root_past_the_bound(self, capsys, tmp_path, command):
+        path = tmp_path / "long.txt"
+        path.write_text(
+            "[model]\nmodel = proj(1,1)\n\n[bundle]\n"
+            + "root = 1,1\n" * scenario.MAX_ROOTS
+            + "  root = 1,2\n" * 3
+            + "\n[task hi2]\nh = 1,1\nalpha = 1,-1\n"
+            + "\n[task logconcave]\nmu = 1\nh = 1,1\n\n[task ring-eval]\nschur = 1\n"
+        )
+        err = self.timed(capsys, [command, str(path)])
+        assert err == (
+            f"error: line {scenario.MAX_ROOTS + 5}, column 3: "
+            f"a bundle has at most {scenario.MAX_ROOTS} roots\n"
+        )
 
 
 class TestHlScan:

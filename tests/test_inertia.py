@@ -79,6 +79,17 @@ def test_quadratic_value():
         quadratic_value(q, [1, 0, 0])
 
 
+def test_quadratic_value_refuses_a_ragged_matrix():
+    # A short row is refused, not read as far as it goes, whichever
+    # entry of v meets it; so is a long row.
+    for ragged in ([[1, 0], [0]], [[1], [0, -1]], [[1, 0, 5], [0, -1]]):
+        for v in ([1, 1], [1, 0], [0, 1]):
+            with pytest.raises(ValidationError, match="not square"):
+                quadratic_value(ragged, v)
+            with pytest.raises(ValidationError, match="not square"):
+                quadratic_value(ragged, v, [1, 1])
+
+
 def test_kernel_basis_and_restriction():
     phi = [Fraction(2), Fraction(0), Fraction(1)]
     basis = kernel_basis(phi)

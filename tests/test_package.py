@@ -67,3 +67,59 @@ def test_every_public_name_has_a_consumer():
         and not re.search(rf"\b{node.name}\b", bench)
     }
     assert unconsumed == set(TEST_ONLY)
+
+
+# math functions whose result is exact on exact arguments.  Every other name
+# of ``math`` is refused: most of them (sqrt, log, pi, ...) give or are floats.
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+# (module, function) of every true division in the package.
+TRUE_DIVISIONS = {
+    ("certify", "hodge_index_check"),
+    ("inertia", "kernel_basis"),
+    ("qpoly", "__divmod__"),
+    ("qpoly", "cauchy_root_bound"),
+    ("qpoly", "isolate_real_root"),
+}
+
+
+def test_no_float_reaches_the_package():
+    """No float literal, no ``float`` or ``complex``, no inexact ``math``.
+
+    Kernels store the ints and Fractions their arithmetic makes, so ints
+    reach QPoly, whose coefficients are not converted on the way in.
+    An int divided by an int is a float, so each true division needs a
+    Fraction operand: the leading coefficient in ``QPoly.__divmod__`` and
+    in ``cauchy_root_bound``, the bracket ``lo`` in ``isolate_real_root``,
+    the checked values of ``hodge_index_check`` and ``kernel_basis``.  A
+    new division is listed in ``TRUE_DIVISIONS`` once it is seen to have one.
+    """
+    found, divisions = [], set()
+    for path in sorted((SRC / "schurcert").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+                found.append(f"{where} name {node.id}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr not in EXACT_MATH
+            ):
+                found.append(f"{where} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{a.name}" for a in node.names if a.name not in EXACT_MATH]
+            elif isinstance(node, ast.Import):
+                found += [f"{where} import math as {a.asname}" for a in node.names
+                          if a.name == "math" and a.asname]
+            elif isinstance(node, ast.FunctionDef):
+                if any(
+                    isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+                    for n in ast.walk(node)
+                ):
+                    divisions.add((path.stem, node.name))
+    assert found == []
+    assert divisions == TRUE_DIVISIONS

@@ -180,6 +180,37 @@ def test_cauchy_bound_contains_roots():
     assert count_real_roots(p, -b, b) == 3
 
 
+def _numbers(*values):
+    """Every coefficient or number in ``values`` (QPolys, tuples, numbers)."""
+    for v in values:
+        if isinstance(v, QPoly):
+            yield from v.coeffs
+        elif isinstance(v, tuple):
+            yield from _numbers(*v)
+        else:
+            yield v
+
+
+def test_integer_coefficients_stay_exact():
+    # Coefficients are stored as made, so ints reach every division; each
+    # division has a Fraction operand and no result is a float.
+    x = QPoly.of(0, 1)
+    p = (x * x - QPoly.of(2)) * (x - QPoly.of(3)) ** 2 * (QPoly.of(1, 2) * 3)
+    assert all(type(c) is int for c in p.coeffs)
+    quo, rem = divmod(p, QPoly.of(5, 0, 3))
+    assert quo.coeffs and all(type(c) is Fraction for c in quo.coeffs)
+    assert type(cauchy_root_bound(p)) is Fraction
+    assert type(cauchy_root_bound(QPoly.of(3, 2))) is Fraction
+    chain = sturm_chain(p)
+    assert len(chain) > 2 and all(type(c) is int for q in chain for c in q.coeffs)
+    built = QPoly.of(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))
+    assert all(type(c) is int for q in sturm_chain(built) for c in q.coeffs)
+    interval = isolate_real_root(p, Fraction(1, 10**6))
+    results = (quo, rem, p(2), p(Fraction(1, 3)), p.derivative(), p * p, -p, interval)
+    assert not any(isinstance(v, float) for v in _numbers(*results))
+    assert type(count_real_roots(p)) is int and nonneg_on_reals(p * p)
+
+
 @pytest.fixture
 def chains_built(monkeypatch):
     """The polynomials ``qpoly.sturm_chain`` is called on, in call order."""
