@@ -94,18 +94,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValidationError("negative power")
-        result = QPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other: "QPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

@@ -1,10 +1,12 @@
 """Finite-dimensional graded ring models with exact intersection numbers.
 
-A model is data: generator names, the largest exponent each generator may
-carry (its cap), the top grade ``dimension`` and a table of top-grade
-monomial integrals.  The basis of a grade is every monomial of that grade
-within the caps, and a product monomial outside that basis vanishes.  Two
-models are built from data:
+A model is data: its spelling ``name``, generator names, the largest
+exponent each generator may carry (its cap), the top grade ``dimension``, a
+table of top-grade monomial integrals and its ampleness rule.  The basis of
+a grade is every monomial of that grade within the caps, and a product
+monomial outside that basis vanishes.  Two models are built from data, both
+with integer tables, so the integral of a class with integer coefficients
+and every Gram entry built from such classes is an ``int``:
 
 * ``proj(n_1, ..., n_k)`` — a product of projective spaces: the quotient of
   a polynomial ring by ``x_i^(n_i + 1)``, with the unique top monomial
@@ -20,9 +22,9 @@ models are built from data:
 A split bundle keeps its twisted roots r + twist and owns its Chern
 classes: the elementary-symmetric recurrence runs once, when the bundle is
 built, and its Chern, Schur and derived Schur classes are all evaluated at
-that one Chern vector.  Ampleness has one owner, ``RingModel.is_ample``:
-on ``proj`` models a degree-1 class with strictly positive coefficients is
-ample, and no other model has a criterion.
+that one Chern vector.  Ampleness has one owner, ``RingModel.is_ample``,
+which reads the model's rule: on ``proj`` (``positive_ample``) a degree-1
+class with positive coefficients is ample; ``abelian_square`` has none.
 
 Classes are homogeneous by construction; mixed grades are unrepresentable
 and cross-grade addition is rejected.  All coefficients are exact
@@ -62,72 +64,68 @@ Monomial = tuple[int, ...]
 # degree-4 monomials th1^a th2^b lam^c, keyed by (a, b, c).  Everything not
 # listed integrates to zero.  Kept as a module-level table so tests can
 # exercise corruption of a single entry.
-ABELIAN_QUAD_INTEGRALS: dict[Monomial, Fraction] = {
-    (2, 2, 0): Fraction(4),
-    (1, 1, 2): Fraction(-4),
-    (0, 0, 4): Fraction(24),
-}
+ABELIAN_QUAD_INTEGRALS: dict[Monomial, int] = {(2, 2, 0): 4, (1, 1, 2): -4, (0, 0, 4): 24}
 
 
 @dataclass(frozen=True, repr=False)
 class RingModel:
     """Graded ring given by its generators, their caps and top integrals.
 
-    Equality is structural (name, generators, caps, dimension) so that
-    classes can check "same model"; the per-grade caches are not compared.
-    Each grade's ``basis``, ``index`` and ``codes`` tables are built on
-    first use and kept; ``proj`` hands out one shared model per exponent
-    tuple, so on ``proj`` models they are built once per process.
+    ``name`` is the model's spelling in the scenario grammar and its
+    ``repr``.  ``positive_ample`` is the model's ampleness rule: when set, a
+    degree-1 class with strictly positive coefficients is ample; a model
+    without it has no criterion.  Equality covers every field but the
+    per-grade tables, so classes can check "same model"; the hash leaves
+    out the integral table, a dict.  Each grade's table (basis, monomial
+    positions, codes, code positions) is built on first use and kept;
+    ``proj`` hands out one shared model per exponent tuple, so on ``proj``
+    models it is built once per process.
     """
 
     name: str
     gen_names: tuple[str, ...]
     caps: Monomial
     dimension: int
-    top_integrals: Mapping[Monomial, Fraction] = field(compare=False)
-    _bases: dict = field(default_factory=dict, init=False, compare=False)
-    _indices: dict = field(default_factory=dict, init=False, compare=False)
-    _codes: dict = field(default_factory=dict, init=False, compare=False)
+    top_integrals: Mapping[Monomial, int | Fraction] = field(hash=False)
+    positive_ample: bool = False
+    _tables: dict = field(default_factory=dict, init=False, compare=False)
 
     def __repr__(self):
-        if self.name == "proj":
-            return f"proj({','.join(str(n) for n in self.caps)})"
         return self.name
+
+    def _table(self, grade: int) -> tuple:
+        """(basis, monomial positions, codes, code positions) of the grade;
+        see the module docstring for the code-sum rule."""
+        table = self._tables.get(grade)
+        if table is None:
+            if grade < 0:
+                raise ValidationError(f"negative grade {grade}")
+            ranges = [range(min(n, grade) + 1) for n in self.caps]
+            monos = (e for e in itertools.product(*ranges) if sum(e) == grade)
+            basis = tuple(sorted(monos, reverse=True)) if grade <= self.dimension else ()
+            bases = (2 * n + 1 for n in self.caps[:-1])
+            weights = tuple(itertools.accumulate(bases, operator.mul, initial=1))
+            codes = tuple(sum(e * w for e, w in zip(mono, weights)) for mono in basis)
+            index = {m: i for i, m in enumerate(basis)}
+            table = (basis, index, codes, {c: i for i, c in enumerate(codes)})
+            self._tables[grade] = table
+        return table
 
     def basis(self, grade: int) -> tuple[Monomial, ...]:
         """Monomials of the grade within the caps, in descending order."""
-        if grade < 0:
-            raise ValidationError(f"negative grade {grade}")
-        if grade > self.dimension:
-            return ()
-        if grade not in self._bases:
-            ranges = [range(min(n, grade) + 1) for n in self.caps]
-            monos = (e for e in itertools.product(*ranges) if sum(e) == grade)
-            self._bases[grade] = tuple(sorted(monos, reverse=True))
-        return self._bases[grade]
+        return self._table(grade)[0]
 
     def index(self, grade: int) -> dict[Monomial, int]:
         """Position of each basis monomial of the grade."""
-        if grade not in self._indices:
-            self._indices[grade] = {m: i for i, m in enumerate(self.basis(grade))}
-        return self._indices[grade]
+        return self._table(grade)[1]
 
     def codes(self, grade: int) -> tuple[tuple[int, ...], dict[int, int]]:
-        """Code of each basis monomial of the grade, and the position of
-        each code (see the module docstring for the code-sum rule)."""
-        if grade not in self._codes:
-            bases = (2 * n + 1 for n in self.caps[:-1])
-            weights = tuple(itertools.accumulate(bases, operator.mul, initial=1))
-            codes = tuple(
-                sum(e * w for e, w in zip(mono, weights)) for mono in self.basis(grade)
-            )
-            self._codes[grade] = (codes, {c: i for i, c in enumerate(codes)})
-        return self._codes[grade]
+        """Codes of the grade's basis monomials, and each code's position."""
+        return self._table(grade)[2:]
 
     def is_ample(self, cls: "GradedClass") -> bool:
-        """Sufficient ampleness criterion, on projective-product models only:
-        a degree-1 class with strictly positive basis coefficients."""
-        if self.name != "proj":
+        """The model's sufficient ampleness criterion (``positive_ample``)."""
+        if not self.positive_ample:
             raise PreconditionError("ampleness criterion needs a projective-product model")
         return cls.grade == 1 and all(n > 0 for n in cls.nums)
 
@@ -138,14 +136,6 @@ class RingModel:
 
     def one(self) -> "GradedClass":
         return _raw(self, 0, (1,), 1)
-
-    def degree_one(self, coeffs: Sequence) -> "GradedClass":
-        """Degree-1 class from coefficients in the documented basis order."""
-        if len(coeffs) != len(self.gen_names):
-            raise ValidationError(
-                f"expected {len(self.gen_names)} coefficients, got {len(coeffs)}"
-            )
-        return GradedClass(self, 1, coeffs)
 
     def generator(self, index: int) -> "GradedClass":
         nums = [0] * len(self.gen_names)
@@ -179,7 +169,8 @@ def proj(*exponents: int) -> RingModel:
 @functools.lru_cache(maxsize=64, typed=True)
 def _proj(*exps: int) -> RingModel:
     names = tuple(f"x{i + 1}" for i in range(len(exps)))
-    return RingModel("proj", names, exps, sum(exps), {exps: Fraction(1)})
+    spelling = f"proj({','.join(map(str, exps))})"
+    return RingModel(spelling, names, exps, sum(exps), {exps: 1}, positive_ample=True)
 
 
 def abelian_square() -> RingModel:
@@ -358,7 +349,7 @@ def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
     return _raw(model, grade, acc, a.den * b.den)
 
 
-def integrate(a: GradedClass) -> Fraction:
+def integrate(a: GradedClass) -> int | Fraction:
     """Top-degree integral from the model's table; grade must equal dim."""
     model = a.model
     if a.grade != model.dimension:
@@ -366,13 +357,12 @@ def integrate(a: GradedClass) -> Fraction:
             f"can only integrate grade-{model.dimension} classes, got {a.grade}"
         )
     index = model.index(a.grade)
-    num, den = 0, 1  # the sum so far, as num / den
-    for mono, value in model.top_integrals.items():
-        pos = index.get(mono)
-        if pos is not None:
-            num = num * value.denominator + a.nums[pos] * value.numerator * den
-            den *= value.denominator
-    return Fraction(num, den * a.den)
+    total = sum(
+        a.nums[index[mono]] * value
+        for mono, value in model.top_integrals.items()
+        if mono in index
+    )
+    return total if a.den == 1 else Fraction(total, a.den)
 
 
 class SplitBundle:
@@ -452,7 +442,7 @@ def derived_schur_class(bundle: SplitBundle, mu: Partition, order: int) -> Grade
 
 def gram_on_basis(
     omega: GradedClass, basis: Sequence[GradedClass]
-) -> list[list[Fraction]]:
+) -> list[list[int | Fraction]]:
     """Matrix of (a, b) -> integral(a * omega * b) over the given classes."""
     model = omega.model
     for cls in basis:
@@ -460,7 +450,7 @@ def gram_on_basis(
             raise ValidationError("basis class lives on a different model")
     n = len(basis)
     mids = [multiply(cls, omega) for cls in basis]
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             val = integrate(multiply(mids[i], basis[j]))
@@ -469,7 +459,7 @@ def gram_on_basis(
     return gram
 
 
-def gram_on_h11(omega: GradedClass) -> list[list[Fraction]]:
+def gram_on_h11(omega: GradedClass) -> list[list[int | Fraction]]:
     """Gram matrix of the degree-1 pairing defined by a grade-(d-2) class.
 
     Basis order is the model's documented degree-1 order, so the output is

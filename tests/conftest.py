@@ -767,7 +767,7 @@ def diagonal_hr_triple(lam: Partition, rows: Sequence[Sequence[int]]) -> tuple[i
     """
     d = len(rows[0])
     model = proj(*[1] * d)
-    bundle = SplitBundle(model, [model.degree_one(row) for row in rows])
+    bundle = SplitBundle(model, [GradedClass(model, 1, row) for row in rows])
     gram = gram_on_h11(schur_class(bundle, lam))
     pos, zero, neg = inertia_triple(gram)
     for j, k in itertools.combinations(range(d), 2):

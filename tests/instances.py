@@ -30,7 +30,7 @@ def random_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4) -> F
 
 
 def random_ample_class(rng: random.Random, model: RingModel, hi: int = 4) -> GradedClass:
-    return model.degree_one([rng.randint(1, hi) for _ in model.gen_names])
+    return GradedClass(model, 1, [rng.randint(1, hi) for _ in model.gen_names])
 
 
 def random_ample_bundle(
@@ -44,10 +44,10 @@ def random_ample_bundle(
     """
     k = len(model.gen_names)
     roots = [
-        model.degree_one([rng.randint(2, 5) for _ in range(k)]) for _ in range(rank)
+        GradedClass(model, 1, [rng.randint(2, 5) for _ in range(k)]) for _ in range(rank)
     ]
     if with_twist and rng.random() < 0.5:
-        twist = model.degree_one([Fraction(rng.randint(-1, 2)) for _ in range(k)])
+        twist = GradedClass(model, 1, [Fraction(rng.randint(-1, 2)) for _ in range(k)])
         return SplitBundle(model, roots, twist)
     return SplitBundle(model, roots)
 

@@ -51,6 +51,7 @@ from schurcert.partitions import Partition
 from schurcert.qpoly import QPoly
 from schurcert.repro import _low_degree_identity_table
 from schurcert.rings import (
+    GradedClass,
     SplitBundle,
     abelian_square,
     chern,
@@ -377,10 +378,10 @@ def test_criterion_12_schur_classes_on_proj_1_10():
     failures = []
     rng = rng_for(MASTER_SEED, 12)
     model = proj(*[1] * 10)
-    roots = [model.degree_one([rng.randint(1, 3) for _ in range(10)]) for _ in range(10)]
+    roots = [GradedClass(model, 1, [rng.randint(1, 3) for _ in range(10)]) for _ in range(10)]
     bundle = SplitBundle(model, roots)
     assert bundle.is_ample()
-    h = model.degree_one([1] * 10)
+    h = GradedClass(model, 1, [1] * 10)
     h2 = multiply(h, h)
     lams = list(partitions_of(8))
     for lam in lams:

@@ -46,7 +46,7 @@ from schurcert.forms import (
 from schurcert.gaussian import GaussianRational
 from schurcert.inertia import inertia_triple
 from schurcert.qpoly import QPoly, count_real_roots
-from schurcert.rings import gram_on_h11, proj
+from schurcert.rings import GradedClass, gram_on_h11, proj
 
 
 def _signed_form(rng: random.Random, d: int) -> PQForm:
@@ -170,8 +170,8 @@ def test_signature_family_region_is_read_off_the_ring_side():
     # forms Gram is negative definite for a >= 0.  HR holds exactly on
     # [0, 3) and (49/12, oo).
     model = proj(1, 1, 1, 1)
-    w1 = model.degree_one([1, 1, 1, 1])
-    w2 = model.degree_one([Fraction(1, 7), Fraction(1, 7), 2, 2])
+    w1 = GradedClass(model, 1, [1, 1, 1, 1])
+    w2 = GradedClass(model, 1, [Fraction(1, 7), Fraction(1, 7), 2, 2])
     g1, g2 = gram_on_h11(w1 * w1), gram_on_h11(w2 * w2)
     pencil = [[QPoly.of(g1[j][k], g2[j][k]) for k in range(4)] for j in range(4)]
     det = det_in_ring(pencil, QPoly.of(1))

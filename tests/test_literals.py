@@ -18,7 +18,7 @@ from schurcert.errors import ScenarioError
 from schurcert.forms import hermitian_form
 from schurcert.gaussian import GaussianRational
 from schurcert.partitions import Partition
-from schurcert.rings import proj
+from schurcert.rings import GradedClass, proj
 from schurcert.scenario import parse
 
 LONG = "9" * 5000
@@ -92,9 +92,9 @@ def test_scenario_literal_beyond_the_digit_limit_exits_2(capsys, tmp_path, kind)
     "text, read, value",
     [
         (RING.replace("root = 1", "root = +3"), lambda sc: sc.bundle.roots[0],
-         proj(1).degree_one([3])),
+         GradedClass(proj(1), 1, [3])),
         (RING.replace("root = 1", "root = -3/4"), lambda sc: sc.bundle.roots[0],
-         proj(1).degree_one([Fraction(-3, 4)])),
+         GradedClass(proj(1), 1, [Fraction(-3, 4)])),
         ("[model]\nmodel = proj( 7 )\n", lambda sc: sc.model, proj(7)),
         (RING + "[task ring-eval]\nderived =  1 /  1 \n",
          lambda sc: sc.tasks["ring-eval"]["derived"], [(Partition([1]), 1)]),

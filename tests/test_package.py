@@ -6,8 +6,12 @@ that it leaves unloaded serves only the tests and belongs in ``tests/``.
 Every public top-level function or class needs a consumer as well: code in
 ``src/schurcert`` that references it (AST names and attributes, so neither
 comments nor its own definition count), or a mention in ``bench/*.py``,
-which covers the tracer's ``TARGETS`` and the worker's API calls.  A public
-name that only the tests call is listed in ``TEST_ONLY`` with its reason.
+which covers the tracer's ``TARGETS`` and the worker's API calls.  So does
+every public method and property of a top-level class: an attribute
+reference ``.name`` in ``src/schurcert``, or ``.name`` in ``bench/*.py``,
+where a bare word in a comment does not count.  A public name that only the
+tests call is listed in ``TEST_ONLY`` with its reason, a method as
+``Class.name``.
 """
 
 import ast
@@ -30,6 +34,13 @@ TEST_ONLY = {
     "Khovanskii-Teissier sequences with it",
     "khovanskii_teissier_sequence": "acceptance criterion 11 recovers the "
     "Khovanskii-Teissier inequalities from it",
+    "Partition.conjugate": "the tableau and dual Jacobi-Trudi oracles of the "
+    "Schur tests read the transposed diagram",
+    "GaussianRational.i": "the form tests build imaginary coefficients from it",
+    "PQForm.dz_dzbar": "the form tests and oracles build single (1,1)-forms "
+    "and real bases of H^{1,1} from it",
+    "PQForm.conj": "the form tests check reality and build real forms as "
+    "f + conj(f) with it",
 }
 
 
@@ -65,6 +76,21 @@ def test_every_public_name_has_a_consumer():
         and not node.name.startswith("_")
         and node.name not in referenced
         and not re.search(rf"\b{node.name}\b", bench)
+    }
+    attributes = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unconsumed |= {
+        f"{cls.name}.{fn.name}"
+        for tree in trees.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in attributes
+        and not re.search(rf"\.{fn.name}\b", bench)
     }
     assert unconsumed == set(TEST_ONLY)
 

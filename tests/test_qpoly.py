@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,11 @@ from schurcert.qpoly import (
 )
 
 
+def power(p: QPoly, n: int) -> QPoly:
+    """p^n as a product of n factors."""
+    return math.prod([p] * n, start=QPoly.of(1))
+
+
 def test_arithmetic_basics():
     x = QPoly.of(0, 1)
     p = x * x - QPoly.of(1)
@@ -23,7 +29,7 @@ def test_arithmetic_basics():
     assert p(Fraction(1, 2)) == Fraction(-3, 4)
     assert (p * p).degree() == 4
     assert p.derivative() == QPoly.of(0, 2)
-    assert (x**3).coeffs == (0, 0, 0, 1)
+    assert (x * x * x).coeffs == (0, 0, 0, 1)
     assert QPoly.of(0, 0).is_zero()
 
 
@@ -41,7 +47,7 @@ def test_divmod_reconstructs():
 
 def test_gcd_and_squarefree():
     x = QPoly.of(0, 1)
-    p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(2))
+    p = power(x - QPoly.of(1), 2) * (x + QPoly.of(2))
     g = poly_gcd(p, p.derivative())
     assert g == QPoly.of(-1, 1)  # x - 1
     assert squarefree_part(p) == primitive((x - QPoly.of(1)) * (x + QPoly.of(2)))
@@ -49,7 +55,7 @@ def test_gcd_and_squarefree():
 
 def test_odd_multiplicity_part():
     x = QPoly.of(0, 1)
-    p = (x - QPoly.of(1)) ** 2 * (x + QPoly.of(3)) ** 3 * x
+    p = power(x - QPoly.of(1), 2) * power(x + QPoly.of(3), 3) * x
     odd = odd_multiplicity_part(p)
     assert odd == primitive((x + QPoly.of(3)) * x)
 
@@ -64,7 +70,7 @@ def test_sturm_root_counts():
     assert count_real_roots(p, Fraction(0), Fraction(1)) == 1  # (0, 1] includes 1
     q = x * x + QPoly.of(1)
     assert count_real_roots(q) == 0
-    cubic = x**3 - x * 7 + QPoly.of(6)  # roots 1, 2, -3
+    cubic = x * x * x - x * 7 + QPoly.of(6)  # roots 1, 2, -3
     assert count_real_roots(cubic) == 3
     assert count_real_roots(cubic, Fraction(0), None) == 2
 
@@ -79,7 +85,7 @@ def test_constant_polynomials_take_the_general_rule():
 
 def test_sturm_chain_on_multiple_roots_uses_squarefree_part():
     x = QPoly.of(0, 1)
-    p = (x - QPoly.of(2)) ** 3
+    p = power(x - QPoly.of(2), 3)
     assert count_real_roots(p) == 1
     chain = sturm_chain(p)
     assert chain[0].degree() == 1
@@ -114,14 +120,14 @@ def test_nonneg_decisions():
     assert nonneg_on_reals(x * x)
     assert not nonneg_on_reals(x * x - QPoly.of(1))
     assert nonneg_on_reals(x * x * 3)
-    assert nonneg_on_reals((x * x - QPoly.of(1)) ** 2)
+    assert nonneg_on_reals(power(x * x - QPoly.of(1), 2))
     assert not nonneg_on_reals(-(x * x))
-    assert not nonneg_on_reals(x**3)
+    assert not nonneg_on_reals(x * x * x)
     assert nonneg_on_reals(QPoly())
     assert nonneg_on_reals(QPoly.of(5))
     assert not nonneg_on_reals(QPoly.of(-5))
-    assert not nonneg_on_reals(x**4 - QPoly.of(1))
-    assert nonneg_on_reals(x**4 + x * x)
+    assert not nonneg_on_reals(power(x, 4) - QPoly.of(1))
+    assert nonneg_on_reals(power(x, 4) + x * x)
     # touches zero at x=0 but never crosses
     assert nonneg_on_reals(x * x * (x * x + QPoly.of(1)))
 
@@ -136,10 +142,10 @@ def _built_polynomial(rng):
     while len(roots) < count:
         roots[Fraction(rng.randint(-6, 6), rng.randint(1, 3))] = rng.randint(1, 4)
     for r, m in roots.items():
-        p = p * (x - QPoly.of(r)) ** m
+        p = p * power(x - QPoly.of(r), m)
     for _ in range(rng.randint(0, 1)):
         a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        p = p * ((x - QPoly.of(a)) ** 2 + QPoly.of(b)) ** rng.randint(1, 4)
+        p = p * power(power(x - QPoly.of(a), 2) + QPoly.of(b), rng.randint(1, 4))
     return p, roots
 
 
@@ -195,7 +201,7 @@ def test_integer_coefficients_stay_exact():
     # Coefficients are stored as made, so ints reach every division; each
     # division has a Fraction operand and no result is a float.
     x = QPoly.of(0, 1)
-    p = (x * x - QPoly.of(2)) * (x - QPoly.of(3)) ** 2 * (QPoly.of(1, 2) * 3)
+    p = (x * x - QPoly.of(2)) * power(x - QPoly.of(3), 2) * (QPoly.of(1, 2) * 3)
     assert all(type(c) is int for c in p.coeffs)
     quo, rem = divmod(p, QPoly.of(5, 0, 3))
     assert quo.coeffs and all(type(c) is Fraction for c in quo.coeffs)
@@ -229,7 +235,7 @@ def chains_built(monkeypatch):
 
 def test_isolation_builds_one_sturm_chain(chains_built):
     x = QPoly.of(0, 1)
-    p = (x * x - QPoly.of(2)) * (x - QPoly.of(5)) ** 2
+    p = (x * x - QPoly.of(2)) * power(x - QPoly.of(5), 2)
     for width in (Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**10)):
         chains_built.clear()
         lo, hi = isolate_real_root(p, width)

@@ -11,6 +11,7 @@ from schurcert.inertia import inertia_triple
 from schurcert.partitions import Partition
 from schurcert.rings import (
     GradedClass,
+    RingModel,
     SplitBundle,
     abelian_square,
     chern,
@@ -23,6 +24,7 @@ from schurcert.rings import (
     proj,
     schur_class,
 )
+from schurcert.scenario import parse
 
 
 class TestModels:
@@ -42,6 +44,23 @@ class TestModels:
         assert proj(2, 3) != proj(3, 2)
         assert abelian_square() == abelian_square()
         assert proj(4) != abelian_square()
+
+    def test_equality_covers_the_integral_table(self):
+        a = RingModel("x", ("a",), (2,), 2, {(2,): 1})
+        b = RingModel("x", ("a",), (2,), 2, {(2,): 5})
+        assert a != b
+        assert a == RingModel("x", ("a",), (2,), 2, {(2,): 1})
+        with pytest.raises(ValidationError, match="classes live on different models"):
+            multiply(a.generator(0), b.generator(0))
+        with pytest.raises(ValidationError, match="classes live on different models"):
+            multiply(b.generator(0), a.generator(0))
+        # The table is a dict, so the hash leaves it out.
+        assert hash(a) == hash(b)
+        assert hash(proj(2, 3)) == hash(proj(2, 3))
+
+    @pytest.mark.parametrize("model", [proj(2, 3), proj(1, 1, 1, 1), abelian_square()], ids=repr)
+    def test_repr_reads_back_through_the_scenario_grammar(self, model):
+        assert parse(f"[model]\nmodel = {model!r}\n").model == model
 
     def test_bad_model(self):
         with pytest.raises(ValidationError):
@@ -101,6 +120,17 @@ class TestMultiplyIntegrate:
                         assert got == GradedClass.from_monomials(
                             model, ga + gb, {expo: 1} if survives else {}
                         )
+
+    def test_integrals_of_integral_classes_are_ints(self):
+        m = proj(2, 3)
+        x1, x2 = m.generator(0), m.generator(1)
+        top = multiply(x1**2, x2**3)
+        assert type(integrate(top * 3)) is int and integrate(top * 3) == 3
+        assert integrate(top * Fraction(1, 2)) == Fraction(1, 2)
+        ab = abelian_square()
+        th1, th2, lam = (ab.generator(i) for i in range(3))
+        for cls in (lam**4, multiply(multiply(th1, th2), lam**2), multiply(th1**3, th2)):
+            assert type(integrate(cls)) is int
 
     def test_integrate_requires_top_grade(self):
         m = proj(2)
@@ -178,10 +208,10 @@ class TestChern:
         k = len(model.gen_names)
         for rank in range(1, model.dimension + 3):
             roots = [
-                model.degree_one([rng.randint(-3, 3) for _ in range(k)])
+                GradedClass(model, 1, [rng.randint(-3, 3) for _ in range(k)])
                 for _ in range(rank)
             ]
-            twist = model.degree_one([rng.randint(-2, 2) for _ in range(k)])
+            twist = GradedClass(model, 1, [rng.randint(-2, 2) for _ in range(k)])
             for e in (SplitBundle(model, roots), SplitBundle(model, roots, twist)):
                 expected = [chern_by_subsets(e, p) for p in range(rank + 1)]
                 assert list(e.cherns) == expected
@@ -196,7 +226,7 @@ class TestChern:
         m = proj(2, 2)
         rng = random.Random(3)
         roots = [random_ample_class(rng, m) for _ in range(3)]
-        delta = m.degree_one([1, 2])
+        delta = GradedClass(m, 1, [1, 2])
         shifted_directly = SplitBundle(m, [r + delta for r in roots])
         twisted = SplitBundle(m, roots, delta)
         for p in range(4):
@@ -245,7 +275,7 @@ class TestSchurClasses:
         rng = random.Random(77)
         m = proj(2, 2)
         e = random_ample_bundle(rng, m, 3, with_twist=False)
-        delta = m.degree_one([1, 1])
+        delta = GradedClass(m, 1, [1, 1])
         for mu in partitions_of(3, 3):
             total = m.zero(mu.weight)
             for i in range(mu.weight + 1):
@@ -284,6 +314,16 @@ class TestGram:
         e = SplitBundle(m, (a, a, b))
         gram = gram_on_h11(chern(e, 3))
         assert gram == [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]]
+
+    def test_entries_are_ints_on_proj_bundles(self):
+        rng = random.Random(29)
+        for exps in [(2, 2), (1, 1, 2), (2, 3), (1, 1, 1, 1)]:
+            m = proj(*exps)
+            bundle = random_ample_bundle(rng, m, 3)
+            d = m.dimension
+            for omega in (chern(bundle, d - 2), schur_class(bundle, Partition([d - 2]))):
+                gram = gram_on_h11(omega)
+                assert all(type(x) is int for row in gram for x in row)
 
     def test_poincare_nondegeneracy_gate(self):
         for exps in [(2, 2), (1, 3), (1, 1, 2), (2, 3), (1, 1, 1, 1)]:
@@ -342,15 +382,15 @@ class TestPositivitySmoke:
 class TestAmpleness:
     def test_positive_roots_are_ample(self):
         m = proj(2, 2)
-        e = SplitBundle(m, (m.degree_one([1, 1]), m.degree_one([2, 3])))
+        e = SplitBundle(m, (GradedClass(m, 1, [1, 1]), GradedClass(m, 1, [2, 3])))
         assert e.is_ample()
-        bad = SplitBundle(m, (m.degree_one([1, -1]),))
+        bad = SplitBundle(m, (GradedClass(m, 1, [1, -1]),))
         assert not bad.is_ample()
 
     def test_twist_can_restore_positivity(self):
         m = proj(2, 2)
         e = SplitBundle(
-            m, (m.degree_one([1, -1]),), m.degree_one([1, 2])
+            m, (GradedClass(m, 1, [1, -1]),), GradedClass(m, 1, [1, 2])
         )
         assert e.is_ample()
 
